@@ -2,7 +2,7 @@
 //! the same workload × query × engine combinations as the `experiments`
 //! binary at bench-friendly sizes. Absolute numbers are laptop-scale; the
 //! *relative* ordering of the engines is what reproduces the paper (see
-//! EXPERIMENTS.md).
+//! README, "Substitutions").
 
 use cogra_core::run_to_completion;
 use cogra_core::runtime::EngineConfig;

@@ -4,7 +4,7 @@
 //! * **latency** — wall-clock milliseconds to process the stream and emit
 //!   every window result (the paper reports the average delay between a
 //!   result and its latest contributing event; in a saturated replay the
-//!   two are proportional, see EXPERIMENTS.md);
+//!   two are proportional, see README, "Substitutions");
 //! * **throughput** — events per second over the same run;
 //! * **peak memory** — the maximum of the engine's exact logical
 //!   accounting ([`TrendEngine::memory_bytes`]) over the run, including

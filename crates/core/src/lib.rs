@@ -12,12 +12,14 @@
 //!   event and the final aggregate, O(n) time, O(1) space;
 //! * [`cogra`] — the [`CograEngine`] router: partitioning (§7), sliding
 //!   windows, per-disjunct dispatch, result finalization;
-//! * [`parallel`] — per-partition parallel execution (§8): the batch
-//!   reference [`run_parallel`] and the live [`StreamingPool`] shard
-//!   router (worker threads + bounded channels + watermark broadcasts);
+//! * [`parallel`] — per-partition shard execution (§8): the
+//!   [`StreamingPool`] every session runs on — one inline shard at one
+//!   worker, worker threads + bounded channels + watermark broadcasts
+//!   beyond;
 //! * [`session`] — the [`Session`] pipeline: typed [`EngineKind`] roster
-//!   over COGRA and all baselines, builder-style configuration (slack,
-//!   workers, multi-query), push-based [`ResultSink`] emission.
+//!   over COGRA and all baselines (every kind shards by group),
+//!   builder-style configuration (slack, workers, multi-query),
+//!   push-based [`ResultSink`] emission.
 //!
 //! The engine substrate ([`agg`], [`engine`], [`output`], [`router`],
 //! [`runtime`]) lives in the `cogra-engine` crate and is re-exported here
@@ -44,8 +46,7 @@ pub use cogra_engine::{
     TrendEngine, Val, WindowAlgo, WindowResult,
 };
 pub use parallel::{
-    run_parallel, FailurePolicy, ParallelRun, PoolConfig, StreamingPool, WorkerFailure,
-    DEFAULT_BATCH_SIZE,
+    FailurePolicy, PoolConfig, PoolQuery, StreamingPool, WorkerFailure, DEFAULT_BATCH_SIZE,
 };
 pub use session::{
     EngineKind, IngestError, ResultSink, Session, SessionBuilder, SessionError, SessionRun,

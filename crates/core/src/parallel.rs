@@ -1,46 +1,52 @@
-//! Parallel per-partition execution (§7/§8).
+//! Per-partition shard execution (§7/§8) — the one execution path of
+//! every [`Session`](crate::session::Session).
 //!
 //! "Equivalence predicates and the GROUP-BY clause partition the stream
 //! into sub-streams that are processed in parallel independently from
 //! each other. Such stream partitioning enables a highly scalable
 //! execution." Events within one sub-stream are processed in time order
-//! by a single worker, which is exactly the stream-transaction ordering
+//! by a single shard, which is exactly the stream-transaction ordering
 //! guarantee §8 requires.
 //!
 //! Sharding is by the *output group* (the `GROUP-BY` prefix of the
 //! partition key), so every partition contributing to one result group
-//! lands on the same worker and no cross-worker aggregate merging is
+//! lands on the same shard and no cross-shard aggregate merging is
 //! needed. A query without `GROUP-BY` cannot shard (there is nothing to
-//! partition results by) and is pinned to one worker instead.
+//! partition results by) and is pinned to one shard instead. Every
+//! engine kind shards this way: each is a partition router over its own
+//! per-window algorithm.
 //!
-//! Two implementations share the same shard hash:
-//! * [`run_parallel`] — the batch reference: shard a finite recorded
-//!   stream, run every shard to completion under `std::thread::scope`,
-//!   merge. Kept as the executable specification the streaming tests
-//!   diff against.
-//! * [`StreamingPool`] — live execution: ONE pool of long-lived worker
-//!   threads per *session* (not per query — each worker hosts one engine
-//!   per (query, shard)), fed by bounded channels carrying **batches** of
-//!   pre-hashed events, with watermark broadcasts so a drain emits every
-//!   result that is globally final — even on shards whose sub-stream went
-//!   quiet. Under `.slack(n)` each worker repairs its own sub-stream with
-//!   a private [`ReorderBuffer`] while a coordinator-side [`LateGate`]
-//!   keeps the drop decisions identical to a single front reorderer.
+//! [`StreamingPool`] runs the shards. One shard is *inline*: routing
+//! calls it directly on the caller's thread with the borrowed event — no
+//! thread, no channel, no staging. More shards are long-lived worker
+//! threads fed by bounded channels carrying **batches** of pre-hashed
+//! events, with watermark broadcasts so a drain emits every result that
+//! is globally final — even on shards whose sub-stream went quiet. Under
+//! `.slack(n)` each shard repairs its own sub-stream with a private
+//! [`ReorderBuffer`] while a coordinator-side [`LateGate`] keeps the drop
+//! decisions identical to a single front reorderer.
 
-use crate::cogra::CograEngine;
-use crate::engine::{run_to_completion, TrendEngine};
+use crate::engine::TrendEngine;
 use crate::output::WindowResult;
 use crate::runtime::QueryRuntime;
+use crate::session::EngineKind;
 use cogra_checkpoint::CheckpointError;
 use cogra_engine::{entry_group_hash, RouterState, RunStats};
 use cogra_events::{Event, LateGate, ReorderBuffer, Timestamp};
+use std::borrow::Cow;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Shard index of a group-prefix hash — THE placement rule shared by the
-/// batch reference ([`run_parallel`]) and the [`StreamingPool`], kept in
-/// one place so the two execution modes cannot disagree.
+/// One physical query a pool runs: its engine kind over its compiled
+/// runtime ([`EngineKind::runtime`]).
+pub type PoolQuery = (EngineKind, Arc<QueryRuntime>);
+
+/// A shard-hosted engine, built by [`EngineKind::engine`].
+type Engine = Box<dyn TrendEngine + Send>;
+
+/// Shard index of a group-prefix hash — THE placement rule of live
+/// routing and checkpoint re-sharding alike.
 fn shard_index(group_hash: u64, shards: usize) -> usize {
     (group_hash % shards as u64) as usize
 }
@@ -55,73 +61,21 @@ fn effective_workers(rt: &QueryRuntime, requested: usize) -> usize {
     }
 }
 
-/// Outcome of a parallel run.
-#[derive(Debug)]
-pub struct ParallelRun {
-    /// All window results, merged and deterministically sorted.
-    pub results: Vec<WindowResult>,
-    /// Sum of the workers' peak logical memory (they run concurrently).
-    pub peak_bytes: usize,
-    /// Number of workers actually used.
-    pub workers: usize,
+/// The shard a query's counters live on: the first shard for a
+/// shardable query, the pinned shard `q % shards` otherwise.
+fn home_shard(rt: &QueryRuntime, query: usize, shards: usize) -> usize {
+    if rt.query.group_prefix > 0 {
+        0
+    } else {
+        query % shards
+    }
 }
 
-/// Execute a compiled query over a finite stream with `workers` parallel
-/// shards. Returns the same results as a single [`CograEngine`] fed the
-/// whole stream (asserted by the `parallel_equals_sequential` tests).
-pub fn run_parallel(rt: &Arc<QueryRuntime>, events: &[Event], workers: usize) -> ParallelRun {
-    let effective = effective_workers(rt, workers);
-    if effective == 1 {
-        let mut engine = CograEngine::from_runtime(Arc::clone(rt));
-        let (results, peak) = run_to_completion(&mut engine, events, 64);
-        return ParallelRun {
-            results,
-            peak_bytes: peak,
-            workers: 1,
-        };
-    }
-
-    // Shard by the output-group prefix of the partition key — hashed in
-    // place, no key materialized. Only the group hash is needed here:
-    // the shard engines replay through `process`, which computes the
-    // full-key hash itself exactly once.
-    let mut shards: Vec<Vec<Event>> = vec![Vec::new(); effective];
-    for e in events {
-        let Some(group_hash) = rt.group_hash(e) else {
-            continue; // dropped consistently with every engine
-        };
-        shards[shard_index(group_hash, effective)].push(e.clone());
-    }
-
-    let mut outputs: Vec<(Vec<WindowResult>, usize)> = Vec::with_capacity(effective);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let rt = Arc::clone(rt);
-                scope.spawn(move || {
-                    let mut engine = CograEngine::from_runtime(rt);
-                    run_to_completion(&mut engine, shard, 64)
-                })
-            })
-            .collect();
-        for h in handles {
-            outputs.push(h.join().expect("worker panicked"));
-        }
-    });
-
-    let mut results = Vec::new();
-    let mut peak = 0;
-    for (r, p) in outputs {
-        results.extend(r);
-        peak += p;
-    }
-    WindowResult::sort(&mut results);
-    ParallelRun {
-        results,
-        peak_bytes: peak,
-        workers: effective,
-    }
+/// Whether `shard` hosts an engine for `query`: every shard hosts a
+/// query with a `GROUP-BY` prefix, a pinned query lives on its home
+/// shard only.
+fn hosts(rt: &QueryRuntime, query: usize, shards: usize, shard: usize) -> bool {
+    rt.query.group_prefix > 0 || query % shards == shard
 }
 
 /// What the coordinator does when a shard worker dies (panics or exits
@@ -167,7 +121,9 @@ impl std::fmt::Display for WorkerFailure {
     }
 }
 
-/// Transport tuning of a [`StreamingPool`].
+/// Configuration of a [`StreamingPool`]. `batch_size` and `policy` apply
+/// to worker-thread shards; an inline shard has no transport to batch
+/// and no worker to supervise.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Events staged per shard before a [`Cmd::Batch`] is shipped. Staged
@@ -175,7 +131,7 @@ pub struct PoolConfig {
     /// watermark broadcast), so the batch size bounds transport latency,
     /// never result completeness. 1 degenerates to per-event sends.
     pub batch_size: usize,
-    /// Repair up to this many ticks of disorder *per shard*: each worker
+    /// Repair up to this many ticks of disorder *per shard*: each shard
     /// owns a [`ReorderBuffer`] over its own sub-stream while the
     /// coordinator's [`LateGate`] keeps late-drop decisions identical to
     /// one stream-wide front reorderer.
@@ -204,10 +160,10 @@ impl Default for PoolConfig {
     }
 }
 
-/// One routed event in flight to a shard worker: the event, the index of
-/// the query it is for, and its precomputed full partition-key hash
-/// (`None`: the event's type has no partition key; the engine drops it
-/// itself, exactly like a sequential run). `Clone` so the coordinator can
+/// One routed event bound for a shard: the event, the index of the query
+/// it is for, and its precomputed full partition-key hash (`None`: the
+/// event's type has no partition key; the engine drops it itself,
+/// exactly like a sequential run). `Clone` so the coordinator can
 /// journal delivered items under [`FailurePolicy::Restart`].
 #[derive(Clone)]
 struct Item {
@@ -232,6 +188,7 @@ enum Cmd {
 
 /// One shard's contribution to a pool snapshot — also the per-shard
 /// recovery baseline under [`FailurePolicy::Restart`].
+#[derive(Clone)]
 struct ShardSnapshot {
     /// Per query: the hosted engine's state (`None` where not hosted).
     states: Vec<Option<RouterState>>,
@@ -243,15 +200,17 @@ struct ShardSnapshot {
     events: u64,
 }
 
-/// A worker's answer to [`Cmd::Drain`] / [`Cmd::Finish`].
+/// A worker's answer to [`Cmd::Drain`] / [`Cmd::Snapshot`] /
+/// [`Cmd::Finish`].
 struct Reply {
     /// Results finalized since the previous drain, tagged with their
     /// query index.
-    results: Vec<(u32, WindowResult)>,
+    results: Vec<(usize, WindowResult)>,
     /// The worker's engines' current summed logical memory.
     memory: usize,
     /// The worker's peak summed logical memory so far (sampled every 64
-    /// events plus at every drain, like the measurement harness).
+    /// events plus at every batch and drain, like the measurement
+    /// harness).
     peak: usize,
     /// The worker's routing hot-path counters so far, over all engines.
     stats: RunStats,
@@ -314,64 +273,58 @@ const MAX_RESTARTS: u32 = 8;
 /// emitted since the baseline (results only leave a shard at drains), so
 /// recovery neither loses nor duplicates output.
 struct ShardBaseline {
-    states: Vec<Option<RouterState>>,
-    buffered: Vec<(u32, Event)>,
-    events: u64,
+    snapshot: ShardSnapshot,
     journal: Vec<Item>,
-}
-
-impl ShardBaseline {
-    fn empty(queries: usize) -> ShardBaseline {
-        ShardBaseline {
-            states: (0..queries).map(|_| None).collect(),
-            buffered: Vec::new(),
-            events: 0,
-            journal: Vec::new(),
-        }
-    }
 }
 
 /// Backpressure bound, in batches: a worker that falls this many batches
 /// behind blocks ingestion instead of buffering without limit.
 const CHANNEL_CAPACITY: usize = 16;
 
+/// Where a pool's shards run.
+enum Shards {
+    /// The single shard, called directly on the caller's thread.
+    Inline(Shard),
+    /// Supervised worker threads behind batched channels.
+    Threaded(Box<Threads>),
+}
+
 /// Live §8 sharded execution, shared across a whole session's queries:
-/// `workers` long-lived threads, each hosting one [`CograEngine`] per
-/// (query, shard), fed through bounded channels carrying event batches.
+/// one engine per (query, shard), any [`EngineKind`].
 ///
-/// * **Batched transport** — events are staged per shard and shipped as
-///   [`Cmd::Batch`] chunks ([`PoolConfig::batch_size`], default
-///   [`DEFAULT_BATCH_SIZE`]); stages flush on every drain/finish, so
-///   batching changes hand-off cost, never the result set.
+/// * **Inline single shard** — with one shard, [`StreamingPool::route`]
+///   admits the event and feeds the shard's engines directly, borrowing
+///   the event; drains emit straight from the engines. Memory and
+///   counters are read live, so [`StreamingPool::memory_bytes`] is exact.
+/// * **Batched transport** — worker-thread shards receive events staged
+///   per shard and shipped as [`Cmd::Batch`] chunks
+///   ([`PoolConfig::batch_size`], default [`DEFAULT_BATCH_SIZE`]); stages
+///   flush on every drain/finish, so batching changes hand-off cost,
+///   never the result set.
 /// * **Shared pool** — one pool serves every query of a session: an
-///   event is hashed per query (same group-prefix hash as
-///   [`run_parallel`], so the modes are byte-identical) and staged once
-///   per target shard. A query without a `GROUP-BY` prefix cannot shard;
-///   it is pinned to the worker `query % workers`, so even a session of
-///   unshardable queries spreads across the pool instead of spawning
-///   `queries × workers` threads.
-/// * **Per-shard reorderers** — with [`PoolConfig::slack`], each worker
+///   event is hashed per query and handed once to each target shard. A
+///   query without a `GROUP-BY` prefix cannot shard; it is pinned to the
+///   shard `query % shards`, so even a session of unshardable queries
+///   spreads across the pool instead of spawning `queries × workers`
+///   threads.
+/// * **Per-shard reorderers** — with [`PoolConfig::slack`], each shard
 ///   repairs its own sub-stream through a private [`ReorderBuffer`],
 ///   concurrently with every other shard. A coordinator-side
 ///   [`LateGate`] makes the admission decision from time stamps alone,
 ///   so late-drop counts equal a single front [`Reorderer`]'s exactly.
-/// * **Watermark broadcasts** — [`StreamingPool::drain_into`] broadcasts
-///   the safe watermark before collecting: every window that closed
-///   globally is emitted, even on a shard whose sub-stream went quiet.
+/// * **Watermark broadcasts** — [`StreamingPool::drain_into`] advances
+///   every shard to the safe watermark before collecting: every window
+///   that closed globally is emitted, even on a shard whose sub-stream
+///   went quiet.
 ///
-/// The merged output equals the batch reference per query — asserted by
-/// `tests/streaming_parallel_props.rs` across workers × chunkings ×
+/// The merged output equals one sequential engine per query — asserted
+/// by `tests/streaming_parallel_props.rs` across workers × chunkings ×
 /// batch sizes.
 ///
 /// [`Reorderer`]: cogra_events::Reorderer
 pub struct StreamingPool {
-    runtimes: Vec<Arc<QueryRuntime>>,
-    workers: Vec<Worker>,
-    /// Per-shard staging buffers awaiting a batch send.
-    stages: Vec<Vec<Item>>,
-    batch_size: usize,
-    /// The configured per-shard slack, kept for respawning shards.
-    slack_cfg: Option<u64>,
+    queries: Vec<PoolQuery>,
+    shards: Shards,
     /// Admission gate under slack (None: the stream is trusted ordered).
     gate: Option<LateGate>,
     /// Raw stream progress: the largest event time routed so far.
@@ -379,59 +332,19 @@ pub struct StreamingPool {
     /// Reusable `(shard, query, key_hash)` placement scratch.
     targets: Vec<(usize, u32, Option<u64>)>,
     finished: bool,
-    /// Recovery behavior when a shard worker dies.
-    policy: FailurePolicy,
-    /// Per-shard baselines + journals ([`FailurePolicy::Restart`] only).
-    recovery: Option<Vec<ShardBaseline>>,
-    /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
-    restarts: Vec<u32>,
-    /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
-    failed: Option<WorkerFailure>,
-    /// Items staged per shard since pool start (delivered or in flight);
-    /// frozen at 0 when a shard is quarantined.
-    delivered: Vec<u64>,
-    /// Every item staged across the pool, including ones later dropped.
-    routed_items: u64,
-    /// Items lost to quarantined shards ([`FailurePolicy::Degrade`]).
-    dropped: u64,
 }
 
 impl StreamingPool {
-    /// Spawn a worker pool for a session's compiled queries.
+    /// Start a pool for a session's physical queries.
     ///
-    /// The pool has `workers` threads when any query can shard; a session
-    /// of only unshardable (no `GROUP-BY`) queries clamps to one thread
-    /// per query at most, since each such query is pinned anyway.
-    pub fn new(runtimes: Vec<Arc<QueryRuntime>>, workers: usize, config: PoolConfig) -> Self {
-        assert!(!runtimes.is_empty(), "a pool needs at least one query");
-        let threads = Self::threads_for(&runtimes, workers);
-        let batch_size = config.batch_size.max(1);
-        let seeds = (0..threads).map(|_| None).collect();
-        let journal = config.policy == FailurePolicy::Restart;
-        let workers = Self::spawn_shards(&runtimes, threads, config.slack, seeds, journal);
-        let queries = runtimes.len();
-        StreamingPool {
-            runtimes,
-            workers,
-            stages: (0..threads).map(|_| Vec::new()).collect(),
-            batch_size,
-            slack_cfg: config.slack,
-            gate: config.slack.map(LateGate::new),
-            raw_watermark: Timestamp::ZERO,
-            targets: Vec::new(),
-            finished: false,
-            policy: config.policy,
-            recovery: journal.then(|| {
-                (0..threads)
-                    .map(|_| ShardBaseline::empty(queries))
-                    .collect()
-            }),
-            restarts: vec![0; threads],
-            failed: None,
-            delivered: vec![0; threads],
-            routed_items: 0,
-            dropped: 0,
-        }
+    /// The pool has `workers` shards when any query can shard; a session
+    /// of only unshardable (no `GROUP-BY`) queries clamps to one shard
+    /// per query at most, since each such query is pinned anyway. A
+    /// single shard runs inline; more spawn one worker thread each.
+    pub fn new(queries: Vec<PoolQuery>, workers: usize, config: PoolConfig) -> StreamingPool {
+        let gate = config.slack.map(LateGate::new);
+        Self::build(queries, workers, config, None, gate, Timestamp::ZERO)
+            .expect("fresh engines have no state to reject")
     }
 
     /// Rebuild a pool from checkpointed per-query engine states — possibly
@@ -442,216 +355,85 @@ impl StreamingPool {
     ///
     /// `gate` and `raw_watermark` restore the admission clock; in-flight
     /// reorder-buffer items are re-staged afterwards via
-    /// [`StreamingPool::restage`] / [`StreamingPool::restage_all`].
+    /// [`StreamingPool::restage`].
     pub fn restore(
-        runtimes: Vec<Arc<QueryRuntime>>,
+        queries: Vec<PoolQuery>,
         workers: usize,
         config: PoolConfig,
         states: Vec<RouterState>,
         gate: Option<LateGate>,
         raw_watermark: Timestamp,
     ) -> Result<StreamingPool, CheckpointError> {
-        assert!(!runtimes.is_empty(), "a pool needs at least one query");
-        assert_eq!(states.len(), runtimes.len(), "one engine state per query");
-        let threads = Self::threads_for(&runtimes, workers);
-        let batch_size = config.batch_size.max(1);
-        // Re-shard each query's partition entries into the new layout.
-        let mut shard_states: Vec<Vec<Option<RouterState>>> = (0..threads)
-            .map(|_| (0..runtimes.len()).map(|_| None).collect())
-            .collect();
-        for (q, (rt, state)) in runtimes.iter().zip(states).enumerate() {
-            let RouterState {
-                watermark,
-                stats,
-                drained_to,
-                finalize_spike,
-                entries,
-            } = state;
-            let home = if rt.query.group_prefix > 0 {
-                0
-            } else {
-                q % threads
-            };
-            let mut split: Vec<Vec<Vec<u8>>> = (0..threads).map(|_| Vec::new()).collect();
-            if rt.query.group_prefix == 0 {
-                split[home] = entries;
-            } else {
-                for entry in entries {
-                    let h = entry_group_hash(&entry, rt.query.group_prefix)?;
-                    split[shard_index(h, threads)].push(entry);
-                }
-            }
-            for (s, entries) in split.into_iter().enumerate() {
-                let hosted = rt.query.group_prefix > 0 || s == home;
-                if !hosted {
-                    debug_assert!(entries.is_empty());
-                    continue;
-                }
-                // Counters and the finalize spike live once, on the
-                // query's first hosting shard; the watermark and drain
-                // floor are global and go to every hosted shard.
-                shard_states[s][q] = Some(RouterState {
-                    watermark,
-                    stats: if s == home {
-                        stats
-                    } else {
-                        RunStats::default()
-                    },
-                    drained_to,
-                    finalize_spike: if s == home { finalize_spike } else { 0 },
-                    entries,
-                });
-            }
-        }
-        // Under Restart, the restored layout is also the initial recovery
-        // baseline of every shard (cloned before the engines consume it).
-        let journal = config.policy == FailurePolicy::Restart;
-        let recovery = journal.then(|| {
-            shard_states
-                .iter()
-                .map(|states| ShardBaseline {
-                    states: states.clone(),
-                    buffered: Vec::new(),
-                    events: 0,
-                    journal: Vec::new(),
-                })
-                .collect::<Vec<_>>()
-        });
-        // Build the engines here, not in the worker threads, so a corrupt
-        // entry surfaces as a typed error instead of a worker panic.
-        let mut seeds = Vec::with_capacity(threads);
-        for (index, sts) in shard_states.into_iter().enumerate() {
-            let mut engines = Vec::with_capacity(runtimes.len());
-            for (q, (rt, st)) in runtimes.iter().zip(sts).enumerate() {
-                let hosted = rt.query.group_prefix > 0 || q % threads == index;
-                engines.push(match st {
-                    Some(st) => Some(CograEngine::from_state(Arc::clone(rt), st)?),
-                    None if hosted => Some(CograEngine::from_runtime(Arc::clone(rt))),
-                    None => None,
-                });
-            }
-            seeds.push(Some(engines));
-        }
-        let workers = Self::spawn_shards(&runtimes, threads, config.slack, seeds, journal);
+        assert_eq!(states.len(), queries.len(), "one engine state per query");
+        Self::build(queries, workers, config, Some(states), gate, raw_watermark)
+    }
+
+    fn build(
+        queries: Vec<PoolQuery>,
+        workers: usize,
+        config: PoolConfig,
+        states: Option<Vec<RouterState>>,
+        gate: Option<LateGate>,
+        raw_watermark: Timestamp,
+    ) -> Result<StreamingPool, CheckpointError> {
+        assert!(!queries.is_empty(), "a pool needs at least one query");
+        let shards = Self::shards_for(&queries, workers);
+        let layout = layout(&queries, shards, states)?;
+        // Build every engine before spawning anything, so a corrupt entry
+        // surfaces as a typed error instead of a worker panic.
+        let mut engines = layout
+            .into_iter()
+            .enumerate()
+            .map(|(index, states)| build_engines(&queries, shards, index, states))
+            .collect::<Result<Vec<_>, _>>()?;
+        let shards = if shards == 1 {
+            let engines = engines.pop().expect("one shard");
+            Shards::Inline(Shard::new(engines, config.slack, 0, false))
+        } else {
+            Shards::Threaded(Box::new(Threads::spawn(&queries, engines, config)))
+        };
         Ok(StreamingPool {
-            runtimes,
-            workers,
-            stages: (0..threads).map(|_| Vec::new()).collect(),
-            batch_size,
-            slack_cfg: config.slack,
+            queries,
+            shards,
             gate,
             raw_watermark,
             targets: Vec::new(),
             finished: false,
-            policy: config.policy,
-            recovery,
-            restarts: vec![0; threads],
-            failed: None,
-            delivered: vec![0; threads],
-            routed_items: 0,
-            dropped: 0,
         })
     }
 
-    /// Spawn the shard worker threads, each seeded with pre-built engines
-    /// (checkpoint restore) or `None` to build fresh ones.
-    fn spawn_shards(
-        runtimes: &[Arc<QueryRuntime>],
-        threads: usize,
-        slack: Option<u64>,
-        mut seeds: Vec<Option<Vec<Option<CograEngine>>>>,
-        attach_snapshots: bool,
-    ) -> Vec<Worker> {
-        debug_assert_eq!(seeds.len(), threads);
-        (0..threads)
-            .map(|index| {
-                Self::spawn_one(
-                    runtimes,
-                    threads,
-                    index,
-                    slack,
-                    seeds[index].take(),
-                    0,
-                    attach_snapshots,
-                )
-            })
-            .collect()
-    }
-
-    /// Spawn a single shard worker — the unit both pool construction and
-    /// [`FailurePolicy::Restart`] respawns go through.
-    fn spawn_one(
-        runtimes: &[Arc<QueryRuntime>],
-        threads: usize,
-        index: usize,
-        slack: Option<u64>,
-        seeded: Option<Vec<Option<CograEngine>>>,
-        events: u64,
-        attach_snapshots: bool,
-    ) -> Worker {
-        let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        // Mirror restored engine memory and counters immediately
-        // so a freshly restored pool reports its footprint before
-        // any drain.
-        let (memory, stats) = seeded.as_ref().map_or_else(
-            || (0, RunStats::default()),
-            |engines| {
-                let mut stats = RunStats::default();
-                let mut memory = 0;
-                for e in engines.iter().flatten() {
-                    memory += e.memory_bytes();
-                    stats.merge(e.run_stats());
-                }
-                (memory, stats)
-            },
-        );
-        let shard = ShardConfig {
-            runtimes: runtimes.to_vec(),
-            threads,
-            index,
-            slack,
-            seeded,
-            events,
-            attach_snapshots,
-        };
-        let thread = std::thread::spawn(move || shard_worker(shard, cmd_rx, reply_tx));
-        Worker {
-            tx: Some(cmd_tx),
-            rx: reply_rx,
-            thread: Some(thread),
-            quarantined: false,
-            memory,
-            peak: memory,
-            stats,
-            key_overflow: None,
-            shard_events: events,
-        }
-    }
-
-    /// Thread count: the requested workers when any query has a `GROUP-BY`
-    /// prefix to shard on; otherwise one thread per pinned query suffices.
-    fn threads_for(runtimes: &[Arc<QueryRuntime>], requested: usize) -> usize {
+    /// Shard count: the requested workers when any query has a `GROUP-BY`
+    /// prefix to shard on; otherwise one shard per pinned query suffices.
+    fn shards_for(queries: &[PoolQuery], requested: usize) -> usize {
         let requested = requested.max(1);
-        if runtimes.iter().any(|rt| rt.query.group_prefix > 0) {
+        if queries.iter().any(|(_, rt)| rt.query.group_prefix > 0) {
             requested
         } else {
-            requested.min(runtimes.len())
+            requested.min(queries.len())
         }
     }
 
-    /// Number of queries the pool serves.
-    pub fn queries(&self) -> usize {
-        self.runtimes.len()
+    /// Number of shards (1 for an inline pool).
+    fn shard_count(&self) -> usize {
+        match &self.shards {
+            Shards::Inline(_) => 1,
+            Shards::Threaded(t) => t.workers.len(),
+        }
+    }
+
+    /// Whether the shards run on worker threads (`false`: one inline
+    /// shard on the caller's thread).
+    pub fn is_threaded(&self) -> bool {
+        matches!(self.shards, Shards::Threaded(_))
     }
 
     /// Widest effective shard count across the pool's queries (a query
-    /// without `GROUP-BY` is pinned to one worker and counts as 1).
+    /// without `GROUP-BY` is pinned to one shard and counts as 1).
     pub fn workers(&self) -> usize {
-        let threads = self.workers.len();
-        self.runtimes
+        let shards = self.shard_count();
+        self.queries
             .iter()
-            .map(|rt| effective_workers(rt, threads))
+            .map(|(_, rt)| effective_workers(rt, shards))
             .max()
             .unwrap_or(1)
     }
@@ -674,62 +456,84 @@ impl StreamingPool {
         self.gate.as_ref().map_or(0, LateGate::late_events)
     }
 
-    /// Whether per-shard disorder repair ([`PoolConfig::slack`]) is active.
-    pub fn has_slack(&self) -> bool {
-        self.gate.is_some()
-    }
-
-    /// Summed shard-engine memory, as of each worker's last drain (the
-    /// engines run concurrently; there is no synchronous round trip here).
+    /// Summed shard-engine memory: exact for an inline shard; for
+    /// worker-thread shards as of each worker's last drain (the engines
+    /// run concurrently; there is no synchronous round trip here).
     pub fn memory_bytes(&self) -> usize {
-        self.workers.iter().map(|w| w.memory).sum()
+        match &self.shards {
+            Shards::Inline(shard) => shard.memory(),
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.memory).sum(),
+        }
     }
 
     /// Summed shard-engine peaks (the workers run concurrently), as of
-    /// each worker's last drain; final once the pool has finished.
+    /// each worker's last drain; final once the pool has finished. An
+    /// inline shard does not sample itself — its caller samples
+    /// [`StreamingPool::memory_bytes`] — so it reports its starting
+    /// footprint and, once finished, the engines' finalization spikes.
     pub fn peak_bytes(&self) -> usize {
-        self.workers.iter().map(|w| w.peak).sum()
-    }
-
-    /// Summed shard-engine routing counters ([`RunStats`]), as of each
-    /// worker's last drain; final once the pool has finished.
-    pub fn run_stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        for w in &self.workers {
-            total.merge(w.stats);
+        match &self.shards {
+            Shards::Inline(shard) => shard.peak,
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.peak).sum(),
         }
-        total
     }
 
-    /// Sticky partition-key overflow across every shard engine, as of
-    /// each worker's last drain; final once the pool has finished.
+    /// Summed shard-engine routing counters ([`RunStats`]) — live for an
+    /// inline shard, as of each worker's last drain otherwise; final once
+    /// the pool has finished.
+    pub fn run_stats(&self) -> RunStats {
+        match &self.shards {
+            Shards::Inline(shard) => shard.stats(),
+            Shards::Threaded(t) => {
+                let mut total = RunStats::default();
+                for w in &t.workers {
+                    total.merge(w.stats);
+                }
+                total
+            }
+        }
+    }
+
+    /// Sticky partition-key overflow across every shard engine — live for
+    /// an inline shard, as of each worker's last drain otherwise.
     pub fn key_overflow(&self) -> Option<u32> {
-        self.workers.iter().find_map(|w| w.key_overflow)
+        match &self.shards {
+            Shards::Inline(shard) => shard.key_overflow(),
+            Shards::Threaded(t) => t.workers.iter().find_map(|w| w.key_overflow),
+        }
     }
 
-    /// Events ingested per shard worker, as of each worker's last drain;
-    /// final once the pool has finished. The spread between entries is
-    /// the hot-key imbalance a skewed group distribution produces.
+    /// Items ingested into each shard's engines — live for an inline
+    /// shard, as of each worker's last drain otherwise; final once the
+    /// pool has finished. The spread between entries is the hot-key
+    /// imbalance a skewed group distribution produces.
     pub fn shard_events(&self) -> Vec<u64> {
-        self.workers.iter().map(|w| w.shard_events).collect()
+        match &self.shards {
+            Shards::Inline(shard) => vec![shard.events],
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.shard_events).collect(),
+        }
     }
 
     /// The sticky terminal failure, if a shard worker died under
     /// [`FailurePolicy::Fail`] (or a restart loop escalated). Once set,
-    /// the pool accepts no more events and emits nothing further.
+    /// the pool accepts no more events and emits nothing further. Always
+    /// `None` for an inline shard.
     pub fn failure(&self) -> Option<&WorkerFailure> {
-        self.failed.as_ref()
+        match &self.shards {
+            Shards::Inline(_) => None,
+            Shards::Threaded(t) => t.failed.as_ref(),
+        }
     }
 
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order.
     /// Empty on a healthy pool.
     pub fn degraded_shards(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.quarantined)
-            .map(|(s, _)| s)
-            .collect()
+        match &self.shards {
+            Shards::Inline(_) => Vec::new(),
+            Shards::Threaded(t) => (0..t.workers.len())
+                .filter(|&s| t.workers[s].quarantined)
+                .collect(),
+        }
     }
 
     /// Items lost to quarantined shards: everything delivered to a shard
@@ -739,25 +543,20 @@ impl StreamingPool {
     /// total: `routed_items == sum(shard_events) + dropped_events` once
     /// the pool finishes.
     pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        match &self.shards {
+            Shards::Inline(_) => 0,
+            Shards::Threaded(t) => t.dropped,
+        }
     }
 
-    /// Every `(event, query)` item the coordinator has staged, including
-    /// ones later dropped by quarantine — the left-hand side of the
+    /// Every `(event, query)` item handed to a shard, including ones
+    /// later dropped by quarantine — the left-hand side of the
     /// conservation invariant chaos tests assert.
     pub fn routed_items(&self) -> u64 {
-        self.routed_items
-    }
-
-    /// The configured failure policy.
-    pub fn policy(&self) -> FailurePolicy {
-        self.policy
-    }
-
-    /// Whether the pool has finished (checkpointing a finished pool is
-    /// unsupported — its engines have emitted and discarded their state).
-    pub fn finished(&self) -> bool {
-        self.finished
+        match &self.shards {
+            Shards::Inline(shard) => shard.events + shard.buffered() as u64,
+            Shards::Threaded(t) => t.routed_items,
+        }
     }
 
     /// The coordinator-side admission gate, when slack is active.
@@ -776,10 +575,10 @@ impl StreamingPool {
         self.gate.as_ref().map(LateGate::slack)
     }
 
-    /// Snapshot the pool's live state without advancing it: flushes staged
-    /// batches, then collects every shard's engine states (merged per
-    /// query in shard-index order) and in-flight reorder-buffer items.
-    /// The pool remains fully usable afterwards.
+    /// Snapshot the pool's live state without advancing it: every shard's
+    /// engine states (merged per query in shard-index order) and
+    /// in-flight reorder-buffer items. The pool remains fully usable
+    /// afterwards.
     ///
     /// A failed pool ([`FailurePolicy::Fail`]) or a degraded one
     /// ([`FailurePolicy::Degrade`] after a quarantine) cannot checkpoint —
@@ -788,38 +587,13 @@ impl StreamingPool {
     /// [`FailurePolicy::Restart`] is recovered and the shard re-asked.
     pub fn snapshot(&mut self) -> Result<PoolSnapshot, CheckpointError> {
         assert!(!self.finished, "streaming pool already finished");
-        self.snapshot_guard()?;
-        self.flush_stages();
-        self.snapshot_guard()?;
-        let cmd = Cmd::Snapshot;
-        let n = self.workers.len();
-        let mut sent = vec![false; n];
-        for (s, flag) in sent.iter_mut().enumerate() {
-            *flag = self.send_control(s, &cmd);
-        }
-        let mut merged: Vec<Option<RouterState>> = (0..self.runtimes.len()).map(|_| None).collect();
+        let shards = match &mut self.shards {
+            Shards::Inline(shard) => vec![shard.snapshot()],
+            Shards::Threaded(t) => t.snapshot()?,
+        };
+        let mut merged: Vec<Option<RouterState>> = (0..self.queries.len()).map(|_| None).collect();
         let mut buffered = Vec::new();
-        for (s, &ok) in sent.iter().enumerate() {
-            if !ok {
-                continue;
-            }
-            let Some(mut reply) = self.recv_reply(s, &cmd) else {
-                continue;
-            };
-            let snap = reply
-                .snapshot
-                .take()
-                .expect("snapshot round trip returns shard state");
-            self.absorb_mirrors(s, &reply);
-            // This full-state reply doubles as a fresh recovery baseline.
-            self.store_baseline(
-                s,
-                ShardSnapshot {
-                    states: snap.states.clone(),
-                    buffered: snap.buffered.clone(),
-                    events: snap.events,
-                },
-            );
+        for snap in shards {
             for (q, st) in snap.states.into_iter().enumerate() {
                 if let Some(st) = st {
                     match &mut merged[q] {
@@ -830,12 +604,351 @@ impl StreamingPool {
             }
             buffered.extend(snap.buffered);
         }
-        self.snapshot_guard()?;
         let states = merged
             .into_iter()
             .map(|m| m.expect("every query is hosted by at least one shard"))
             .collect();
         Ok((states, buffered))
+    }
+
+    /// Re-stage one checkpointed in-flight event — for one query, or for
+    /// every query (`None`: a snapshot taken behind a single front
+    /// reorderer, whose buffered events had not been routed per query
+    /// yet). Bypasses the admission gate: the gate was restored verbatim
+    /// and these events were admitted before the snapshot. Safe to
+    /// release early on the new shard: an admitted buffered event's
+    /// release threshold never overtakes the gate's `released_to` floor.
+    pub fn restage(&mut self, query: Option<u32>, event: Event) {
+        self.compute_targets(&event);
+        let targets = std::mem::take(&mut self.targets);
+        for &(shard, q, key_hash) in &targets {
+            if query.is_none_or(|query| query == q) {
+                let event = event.clone();
+                self.deliver(
+                    shard,
+                    Item {
+                        event,
+                        query: q,
+                        key_hash,
+                    },
+                );
+            }
+        }
+        self.targets = targets;
+    }
+
+    /// Route one event to its target shards (one per query that keeps
+    /// it). A worker-thread shard [`CHANNEL_CAPACITY`] batches behind
+    /// blocks the caller (backpressure, not unbounded buffering).
+    /// Without slack, events must arrive in non-decreasing time order;
+    /// with slack, disorder up to the slack is repaired on the shards and
+    /// anything later is dropped and counted.
+    pub fn route(&mut self, event: &Event) {
+        self.dispatch(Cow::Borrowed(event));
+    }
+
+    /// Like [`StreamingPool::route`], consuming the event — the last
+    /// target receives it without a clone.
+    pub fn route_owned(&mut self, event: Event) {
+        self.dispatch(Cow::Owned(event));
+    }
+
+    fn dispatch(&mut self, event: Cow<'_, Event>) {
+        if !self.admit(event.time) {
+            return;
+        }
+        self.compute_targets(&event);
+        let targets = std::mem::take(&mut self.targets);
+        match &mut self.shards {
+            // The hot path: a trusted-ordered inline shard takes the
+            // borrowed event straight into its engines.
+            Shards::Inline(shard) if !shard.buffers() => {
+                for &(_, query, key_hash) in &targets {
+                    shard.ingest(query as usize, &event, key_hash);
+                }
+            }
+            _ => {
+                if let Some((&(shard, query, key_hash), rest)) = targets.split_last() {
+                    for &(shard, query, key_hash) in rest {
+                        let event = Event::clone(&event);
+                        self.deliver(
+                            shard,
+                            Item {
+                                event,
+                                query,
+                                key_hash,
+                            },
+                        );
+                    }
+                    let event = event.into_owned();
+                    self.deliver(
+                        shard,
+                        Item {
+                            event,
+                            query,
+                            key_hash,
+                        },
+                    );
+                }
+            }
+        }
+        self.targets = targets;
+    }
+
+    /// Hand one item to its shard: into the inline shard directly, or
+    /// onto a worker's staging buffer.
+    fn deliver(&mut self, shard: usize, item: Item) {
+        match &mut self.shards {
+            Shards::Inline(s) => s.push(item),
+            Shards::Threaded(t) => t.stage(shard, item),
+        }
+    }
+
+    /// Watermark bookkeeping + the late-drop decision. `true` admits.
+    /// With a gate, the gate tracks the raw watermark itself and the
+    /// observable watermark is its safe one — `raw_watermark` is only
+    /// maintained on the trusted-ordered path.
+    fn admit(&mut self, time: Timestamp) -> bool {
+        assert!(!self.finished, "streaming pool already finished");
+        if self.failure().is_some() {
+            // Terminally failed: ignore further input; the caller sees the
+            // sticky `failure()` instead of a panic.
+            return false;
+        }
+        match &mut self.gate {
+            Some(gate) => gate.admit(time),
+            None => {
+                self.raw_watermark = self.raw_watermark.max(time);
+                true
+            }
+        }
+    }
+
+    /// Resolve the event's `(shard, query, key_hash)` placements into the
+    /// reusable `targets` scratch — one entry per query that keeps the
+    /// event.
+    fn compute_targets(&mut self, event: &Event) {
+        let shards = self.shard_count();
+        self.targets.clear();
+        for (q, (_, rt)) in self.queries.iter().enumerate() {
+            if rt.query.group_prefix > 0 {
+                // Shardable: the group hash places the event, the full-key
+                // hash rides along so the shard's router probes without
+                // re-extracting the key. `None` drops the event for this
+                // query (no partition key), consistently with every engine.
+                if let Some((group_hash, key_hash)) = rt.route_hashes(event) {
+                    self.targets
+                        .push((shard_index(group_hash, shards), q as u32, Some(key_hash)));
+                }
+            } else {
+                // Unshardable: pinned to one shard, which sees the whole
+                // stream — including events without a partition key (the
+                // engine drops them itself, exactly like a sequential run).
+                self.targets
+                    .push((q % shards, q as u32, rt.key_hash(event)));
+            }
+        }
+    }
+
+    /// Emit every result final at the safe watermark. Every shard first
+    /// catches up to it, so shards whose sub-stream went quiet still
+    /// close the windows that closed globally. An inline shard emits per
+    /// query in engine order; worker-thread shards' results are merged
+    /// per query in deterministic (window, group) order.
+    pub fn drain_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+        if self.finished {
+            return;
+        }
+        let safe = self.watermark();
+        match &mut self.shards {
+            Shards::Inline(shard) => {
+                shard.advance_to(safe);
+                shard.drain(out);
+            }
+            Shards::Threaded(t) => t.drain(safe, out),
+        }
+    }
+
+    /// End of stream: flush the shard reorder buffers, close every open
+    /// window on every shard, emit the remainder, and join the worker
+    /// threads. Further drains are no-ops; further routing is a bug (and
+    /// panics). On a terminally failed pool this emits nothing — the
+    /// caller sees [`StreamingPool::failure`].
+    pub fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+        if self.finished {
+            return;
+        }
+        self.finished = true;
+        match &mut self.shards {
+            Shards::Inline(shard) => shard.finish(out),
+            Shards::Threaded(t) => t.finish(out),
+        }
+    }
+}
+
+/// Each shard's per-query starting state. Fresh pools start empty; a
+/// checkpointed query's partition entries are re-sharded onto `shards`
+/// by replaying the group-prefix hash live routing uses, so the layout
+/// is exactly what `shards` fresh shards fed the same stream would hold.
+fn layout(
+    queries: &[PoolQuery],
+    shards: usize,
+    states: Option<Vec<RouterState>>,
+) -> Result<Vec<Vec<Option<RouterState>>>, CheckpointError> {
+    let mut layout: Vec<Vec<Option<RouterState>>> = (0..shards)
+        .map(|_| (0..queries.len()).map(|_| None).collect())
+        .collect();
+    let Some(states) = states else {
+        return Ok(layout);
+    };
+    for (q, ((_, rt), state)) in queries.iter().zip(states).enumerate() {
+        let RouterState {
+            watermark,
+            stats,
+            drained_to,
+            finalize_spike,
+            entries,
+        } = state;
+        let home = home_shard(rt, q, shards);
+        let mut split: Vec<Vec<Vec<u8>>> = (0..shards).map(|_| Vec::new()).collect();
+        if rt.query.group_prefix == 0 || shards == 1 {
+            split[home] = entries;
+        } else {
+            for entry in entries {
+                let h = entry_group_hash(&entry, rt.query.group_prefix)?;
+                split[shard_index(h, shards)].push(entry);
+            }
+        }
+        for (s, entries) in split.into_iter().enumerate() {
+            if !hosts(rt, q, shards, s) {
+                debug_assert!(entries.is_empty());
+                continue;
+            }
+            // Counters and the finalize spike live once, on the query's
+            // home shard; the watermark and drain floor are global and go
+            // to every hosting shard.
+            layout[s][q] = Some(RouterState {
+                watermark,
+                stats: if s == home {
+                    stats
+                } else {
+                    RunStats::default()
+                },
+                drained_to,
+                finalize_spike: if s == home { finalize_spike } else { 0 },
+                entries,
+            });
+        }
+    }
+    Ok(layout)
+}
+
+/// Build one shard's engines from its layout: restored where a state is
+/// given, fresh where the shard hosts the query without one.
+fn build_engines(
+    queries: &[PoolQuery],
+    shards: usize,
+    index: usize,
+    states: Vec<Option<RouterState>>,
+) -> Result<Vec<Option<Engine>>, CheckpointError> {
+    queries
+        .iter()
+        .zip(states)
+        .enumerate()
+        .map(|(q, ((kind, rt), state))| {
+            if state.is_none() && !hosts(rt, q, shards, index) {
+                return Ok(None);
+            }
+            kind.engine(Arc::clone(rt), state).map(Some)
+        })
+        .collect()
+}
+
+/// The worker-thread half of a pool: transport, mirrors and supervision.
+struct Threads {
+    /// The pool's queries, for respawning shards and rerouting.
+    queries: Vec<PoolQuery>,
+    workers: Vec<Worker>,
+    /// Per-shard staging buffers awaiting a batch send.
+    stages: Vec<Vec<Item>>,
+    batch_size: usize,
+    /// The configured per-shard slack, kept for respawning shards.
+    slack: Option<u64>,
+    /// Recovery behavior when a shard worker dies.
+    policy: FailurePolicy,
+    /// Per-shard baselines + journals ([`FailurePolicy::Restart`] only).
+    recovery: Option<Vec<ShardBaseline>>,
+    /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
+    restarts: Vec<u32>,
+    /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
+    failed: Option<WorkerFailure>,
+    /// Items staged per shard since pool start (delivered or in flight);
+    /// frozen at 0 when a shard is quarantined.
+    delivered: Vec<u64>,
+    /// Every item staged across the pool, including ones later dropped.
+    routed_items: u64,
+    /// Items lost to quarantined shards ([`FailurePolicy::Degrade`]).
+    dropped: u64,
+}
+
+impl Threads {
+    /// Spawn one worker per shard, each owning its pre-built engines.
+    fn spawn(queries: &[PoolQuery], engines: Vec<Vec<Option<Engine>>>, config: PoolConfig) -> Self {
+        let shards = engines.len();
+        let journal = config.policy == FailurePolicy::Restart;
+        let mut recovery = journal.then(Vec::new);
+        let workers = engines
+            .into_iter()
+            .enumerate()
+            .map(|(index, engines)| {
+                let shard = Shard::new(engines, config.slack, 0, true);
+                // Under Restart the starting layout is also the first
+                // recovery baseline of every shard.
+                if let Some(recovery) = &mut recovery {
+                    recovery.push(ShardBaseline {
+                        snapshot: shard.snapshot(),
+                        journal: Vec::new(),
+                    });
+                }
+                spawn_worker(index, shard, journal)
+            })
+            .collect();
+        Threads {
+            queries: queries.to_vec(),
+            workers,
+            stages: (0..shards).map(|_| Vec::new()).collect(),
+            batch_size: config.batch_size.max(1),
+            slack: config.slack,
+            policy: config.policy,
+            recovery,
+            restarts: vec![0; shards],
+            failed: None,
+            delivered: vec![0; shards],
+            routed_items: 0,
+            dropped: 0,
+        }
+    }
+
+    /// Collect every shard's state in one round trip, without advancing
+    /// anything; staged batches are flushed first.
+    fn snapshot(&mut self) -> Result<Vec<ShardSnapshot>, CheckpointError> {
+        self.snapshot_guard()?;
+        self.flush_stages();
+        self.snapshot_guard()?;
+        let mut snaps = Vec::with_capacity(self.workers.len());
+        for (s, mut reply) in self.broadcast(Cmd::Snapshot) {
+            let snap = reply
+                .snapshot
+                .take()
+                .expect("snapshot round trip returns shard state");
+            // This full-state reply doubles as a fresh recovery baseline.
+            if self.recovery.is_some() {
+                self.store_baseline(s, snap.clone());
+            }
+            snaps.push(snap);
+        }
+        self.snapshot_guard()?;
+        Ok(snaps)
     }
 
     /// The typed reasons a pool cannot produce a complete snapshot.
@@ -856,12 +969,10 @@ impl StreamingPool {
     /// Refresh a shard's recovery baseline from a full-state reply and
     /// forget the journal it supersedes. No-op unless journaling
     /// ([`FailurePolicy::Restart`]).
-    fn store_baseline(&mut self, shard: usize, snap: ShardSnapshot) {
+    fn store_baseline(&mut self, shard: usize, snapshot: ShardSnapshot) {
         if let Some(recovery) = &mut self.recovery {
             recovery[shard] = ShardBaseline {
-                states: snap.states,
-                buffered: snap.buffered,
-                events: snap.events,
+                snapshot,
                 journal: Vec::new(),
             };
         }
@@ -970,18 +1081,24 @@ impl StreamingPool {
     /// Terminal failure: record it, stop every worker, drop staged items.
     fn fail_all(&mut self, failure: WorkerFailure) {
         self.failed = Some(failure);
-        for w in &mut self.workers {
-            w.tx = None;
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.close();
         for stage in &mut self.stages {
             stage.clear();
         }
         if let Some(recovery) = &mut self.recovery {
             for b in recovery.iter_mut() {
                 b.journal.clear();
+            }
+        }
+    }
+
+    /// Close every worker's channel and reap its thread (panics arrived
+    /// in-band).
+    fn close(&mut self) {
+        for w in &mut self.workers {
+            w.tx = None;
+            if let Some(t) = w.thread.take() {
+                let _ = t.join();
             }
         }
     }
@@ -1007,43 +1124,29 @@ impl StreamingPool {
     /// only leave at drains, and every drain refreshes the baseline).
     fn restart_shard(&mut self, shard: usize) {
         self.restarts[shard] += 1;
-        let threads = self.workers.len();
+        let shards = self.workers.len();
         let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let mut engines = Vec::with_capacity(self.runtimes.len());
-        for (q, (rt, st)) in self.runtimes.iter().zip(&baseline.states).enumerate() {
-            let hosted = rt.query.group_prefix > 0 || q % threads == shard;
-            engines.push(match st {
-                Some(st) => match CograEngine::from_state(Arc::clone(rt), st.clone()) {
-                    Ok(engine) => Some(engine),
-                    Err(e) => {
-                        // The baseline itself cannot be revived — escalate.
-                        let failure = WorkerFailure {
-                            shard,
-                            message: format!("recovery baseline is unusable: {e}"),
-                        };
-                        self.fail_all(failure);
-                        return;
-                    }
-                },
-                None if hosted => Some(CograEngine::from_runtime(Arc::clone(rt))),
-                None => None,
-            });
-        }
-        self.workers[shard] = Self::spawn_one(
-            &self.runtimes,
-            threads,
-            shard,
-            self.slack_cfg,
-            Some(engines),
-            baseline.events,
-            true,
-        );
+        let states = baseline.snapshot.states.clone();
+        let engines = match build_engines(&self.queries, shards, shard, states) {
+            Ok(engines) => engines,
+            Err(e) => {
+                // The baseline itself cannot be revived — escalate.
+                let failure = WorkerFailure {
+                    shard,
+                    message: format!("recovery baseline is unusable: {e}"),
+                };
+                self.fail_all(failure);
+                return;
+            }
+        };
+        let revived = Shard::new(engines, self.slack, baseline.snapshot.events, true);
+        self.workers[shard] = spawn_worker(shard, revived, true);
         // Redeliver: first the baseline's reorder-buffered items (their
         // release order is the order the checkpoint restage path uses),
         // then the journal, both through the normal batch transport.
         let mut replay: Vec<Item> = Vec::with_capacity(baseline.journal.len());
-        for (query, event) in baseline.buffered.clone() {
-            let rt = &self.runtimes[query as usize];
+        for (query, event) in baseline.snapshot.buffered.clone() {
+            let rt = &self.queries[query as usize].1;
             let key_hash = if rt.query.group_prefix > 0 {
                 match rt.route_hashes(&event) {
                     Some((_, key_hash)) => Some(key_hash),
@@ -1059,7 +1162,7 @@ impl StreamingPool {
             });
         }
         replay.extend(baseline.journal.iter().cloned());
-        for chunk in replay.chunks(self.batch_size.max(1)) {
+        for chunk in replay.chunks(self.batch_size) {
             let Some(tx) = self.workers[shard].tx.as_ref() else {
                 return;
             };
@@ -1080,159 +1183,13 @@ impl StreamingPool {
         if !self.workers[shard].quarantined {
             return Some(shard);
         }
-        if self.runtimes[query as usize].query.group_prefix == 0 {
+        if self.queries[query as usize].1.query.group_prefix == 0 {
             return None;
         }
         let n = self.workers.len();
         (1..n)
             .map(|k| (shard + k) % n)
             .find(|&s| !self.workers[s].quarantined)
-    }
-
-    /// Re-stage one checkpointed in-flight event for one query, bypassing
-    /// the admission gate (the gate was restored verbatim; these events
-    /// were already admitted before the snapshot). Safe to release early
-    /// on the new shard: an admitted buffered event's release threshold
-    /// never overtakes the gate's `released_to` floor.
-    pub fn restage(&mut self, query: u32, event: Event) {
-        let threads = self.workers.len();
-        let rt = &self.runtimes[query as usize];
-        let (shard, key_hash) = if rt.query.group_prefix > 0 {
-            match rt.route_hashes(&event) {
-                Some((group_hash, key_hash)) => (shard_index(group_hash, threads), Some(key_hash)),
-                None => return, // unroutable events are never staged
-            }
-        } else {
-            (query as usize % threads, rt.key_hash(&event))
-        };
-        self.stage(
-            shard,
-            Item {
-                event,
-                query,
-                key_hash,
-            },
-        );
-    }
-
-    /// Re-stage one checkpointed in-flight event for *every* query — the
-    /// restore path for snapshots taken behind a single front reorderer,
-    /// whose buffered events had not been routed per query yet.
-    pub fn restage_all(&mut self, event: Event) {
-        self.compute_targets(&event);
-        let targets = std::mem::take(&mut self.targets);
-        for &(shard, query, key_hash) in &targets {
-            self.stage(
-                shard,
-                Item {
-                    event: event.clone(),
-                    query,
-                    key_hash,
-                },
-            );
-        }
-        self.targets = targets;
-    }
-
-    /// Route one event to its target shards (one per query, deduplicated
-    /// by staging the clone per *shard*, not per query). Blocks when a
-    /// shard is [`CHANNEL_CAPACITY`] batches behind (backpressure, not
-    /// unbounded buffering). Without slack, events must arrive in
-    /// non-decreasing time order; with slack, disorder up to the slack is
-    /// repaired on the shards and anything later is dropped and counted.
-    pub fn route(&mut self, event: &Event) {
-        if self.admit(event) {
-            self.compute_targets(event);
-            let targets = std::mem::take(&mut self.targets);
-            for &(shard, query, key_hash) in &targets {
-                self.stage(
-                    shard,
-                    Item {
-                        event: event.clone(),
-                        query,
-                        key_hash,
-                    },
-                );
-            }
-            self.targets = targets;
-        }
-    }
-
-    /// Like [`StreamingPool::route`], consuming the event — the last
-    /// target shard receives it without a clone (the zero-clone path for
-    /// single-query sessions fed from owned sources).
-    pub fn route_owned(&mut self, event: Event) {
-        if self.admit(&event) {
-            self.compute_targets(&event);
-            let targets = std::mem::take(&mut self.targets);
-            if let Some((&(shard, query, key_hash), rest)) = targets.split_last() {
-                for &(shard, query, key_hash) in rest {
-                    self.stage(
-                        shard,
-                        Item {
-                            event: event.clone(),
-                            query,
-                            key_hash,
-                        },
-                    );
-                }
-                self.stage(
-                    shard,
-                    Item {
-                        event,
-                        query,
-                        key_hash,
-                    },
-                );
-            }
-            self.targets = targets;
-        }
-    }
-
-    /// Watermark bookkeeping + the late-drop decision. `true` admits.
-    /// With a gate, the gate tracks the raw watermark itself and the
-    /// observable watermark is its safe one — `raw_watermark` is only
-    /// maintained on the trusted-ordered path.
-    fn admit(&mut self, event: &Event) -> bool {
-        assert!(!self.finished, "streaming pool already finished");
-        if self.failed.is_some() {
-            // Terminally failed: ignore further input; the caller sees the
-            // sticky `failure()` instead of a panic.
-            return false;
-        }
-        match &mut self.gate {
-            Some(gate) => gate.admit(event.time),
-            None => {
-                self.raw_watermark = self.raw_watermark.max(event.time);
-                true
-            }
-        }
-    }
-
-    /// Resolve the event's `(shard, query, key_hash)` placements into the
-    /// reusable `targets` scratch — one entry per query that keeps the
-    /// event.
-    fn compute_targets(&mut self, event: &Event) {
-        let threads = self.workers.len();
-        self.targets.clear();
-        for (q, rt) in self.runtimes.iter().enumerate() {
-            if rt.query.group_prefix > 0 {
-                // Shardable: the group hash places the event, the full-key
-                // hash rides along so the worker's router probes without
-                // re-extracting the key. `None` drops the event for this
-                // query (no partition key), consistently with every engine.
-                if let Some((group_hash, key_hash)) = rt.route_hashes(event) {
-                    self.targets
-                        .push((shard_index(group_hash, threads), q as u32, Some(key_hash)));
-                }
-            } else {
-                // Unshardable: pinned to one worker, which sees the whole
-                // stream — including events without a partition key (the
-                // engine drops them itself, exactly like a sequential run).
-                self.targets
-                    .push((q % threads, q as u32, rt.key_hash(event)));
-            }
-        }
     }
 
     /// Append one item to a shard's staging buffer (rerouted past
@@ -1291,67 +1248,58 @@ impl StreamingPool {
         }
     }
 
-    /// Emit every result final at the safe watermark, merged per query in
-    /// deterministic (window, group) order. Flushes staged batches and
-    /// broadcasts the watermark first, so shards whose sub-stream went
-    /// quiet still close the windows that closed globally.
-    pub fn drain_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
-        if self.finished || self.failed.is_some() {
+    /// Flush staged batches and broadcast the safe watermark, then merge
+    /// every result final at it.
+    fn drain(&mut self, safe: Timestamp, out: &mut dyn FnMut(usize, WindowResult)) {
+        if self.failed.is_some() {
             return;
         }
         self.flush_stages();
-        self.round_trip(Cmd::Drain(self.watermark()), out);
+        self.round_trip(Cmd::Drain(safe), out);
     }
 
-    /// End of stream: flush staged batches and shard reorder buffers,
-    /// close every open window on every shard, emit the merged remainder,
-    /// and join the worker threads. Further drains are no-ops; further
-    /// routing is a bug (and panics). On a terminally failed pool this
-    /// emits nothing — the caller sees [`StreamingPool::failure`].
-    pub fn finish_into(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
-        if self.finished {
-            return;
-        }
+    /// Flush staged batches, close every shard's windows, emit the merged
+    /// remainder, and join the workers.
+    fn finish(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.failed.is_none() {
             self.flush_stages();
             self.round_trip(Cmd::Finish, out);
         }
-        self.finished = true;
-        for w in &mut self.workers {
-            w.tx = None; // close the channel …
-            if let Some(t) = w.thread.take() {
-                let _ = t.join(); // … and reap (panics arrived in-band)
-            }
-        }
+        self.close();
     }
 
-    /// Broadcast one command to every live shard, then merge the replies
-    /// per query. Command fan-out happens before any reply collection so
-    /// the shards drain concurrently. Worker deaths along the way are
-    /// recovered per policy; a pool that fails terminally mid-trip emits
-    /// nothing (no partial result set masquerading as a complete one).
-    fn round_trip(&mut self, cmd: Cmd, out: &mut dyn FnMut(usize, WindowResult)) {
-        let n = self.workers.len();
-        let mut sent = vec![false; n];
-        for (s, flag) in sent.iter_mut().enumerate() {
-            *flag = self.send_control(s, &cmd);
-        }
-        let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.runtimes.len()];
+    /// Broadcast one command to every live shard and collect the replies,
+    /// refreshing the mirrors. Command fan-out happens before any reply
+    /// collection so the shards work concurrently. Worker deaths along
+    /// the way are recovered per policy; a shard that drops out of the
+    /// trip (quarantined, or the pool failed) has no reply.
+    fn broadcast(&mut self, cmd: Cmd) -> Vec<(usize, Reply)> {
+        let sent: Vec<bool> = (0..self.workers.len())
+            .map(|s| self.send_control(s, &cmd))
+            .collect();
+        let mut replies = Vec::with_capacity(sent.len());
         for (s, &ok) in sent.iter().enumerate() {
-            if !ok {
-                continue;
+            if let Some(reply) = ok.then(|| self.recv_reply(s, &cmd)).flatten() {
+                self.absorb_mirrors(s, &reply);
+                replies.push((s, reply));
             }
-            let Some(mut reply) = self.recv_reply(s, &cmd) else {
-                continue;
-            };
-            self.absorb_mirrors(s, &reply);
-            if let Some(snap) = reply.snapshot.take() {
+        }
+        replies
+    }
+
+    /// Broadcast a drain or finish and merge the replies per query. A
+    /// pool that fails terminally mid-trip emits nothing (no partial
+    /// result set masquerading as a complete one).
+    fn round_trip(&mut self, cmd: Cmd, out: &mut dyn FnMut(usize, WindowResult)) {
+        let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.queries.len()];
+        for (s, reply) in self.broadcast(cmd) {
+            if let Some(snap) = reply.snapshot {
                 // Journaling drain: the attached state is the shard's new
                 // recovery baseline and retires its journal.
                 self.store_baseline(s, snap);
             }
             for (q, r) in reply.results {
-                merged[q as usize].push(r);
+                merged[q].push(r);
             }
         }
         if self.failed.is_some() {
@@ -1369,6 +1317,12 @@ impl StreamingPool {
     }
 }
 
+impl Drop for Threads {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
 /// Clone a broadcastable control command ([`Cmd::Batch`] is routed, not
 /// broadcast, and never comes through here).
 fn control_clone(cmd: &Cmd) -> Cmd {
@@ -1380,47 +1334,47 @@ fn control_clone(cmd: &Cmd) -> Cmd {
     }
 }
 
-impl Drop for StreamingPool {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.tx = None; // close the channel so the worker loop exits
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-        }
+/// Spawn a worker thread owning `shard` — the unit both pool start-up
+/// and [`FailurePolicy::Restart`] respawns go through. The mirrors start
+/// at the shard's footprint so a freshly restored pool reports it before
+/// any drain.
+fn spawn_worker(index: usize, shard: Shard, attach_snapshots: bool) -> Worker {
+    let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
+    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+    let (memory, stats, shard_events) = (shard.peak, shard.stats(), shard.events);
+    let thread =
+        std::thread::spawn(move || shard_worker(index, shard, attach_snapshots, cmd_rx, reply_tx));
+    Worker {
+        tx: Some(cmd_tx),
+        rx: reply_rx,
+        thread: Some(thread),
+        quarantined: false,
+        memory,
+        peak: memory,
+        stats,
+        key_overflow: None,
+        shard_events,
     }
 }
 
-/// Everything a shard worker needs to build its engine slice.
-struct ShardConfig {
-    runtimes: Vec<Arc<QueryRuntime>>,
-    threads: usize,
-    index: usize,
-    slack: Option<u64>,
-    /// Engines restored from a checkpoint or a recovery baseline
-    /// (`None`: build fresh ones).
-    seeded: Option<Vec<Option<CograEngine>>>,
-    /// Ingest-counter seed, so a respawned shard resumes its accounting.
-    events: u64,
-    /// Attach a [`ShardSnapshot`] to every drain reply — the coordinator
-    /// journals for [`FailurePolicy::Restart`] and refreshes its recovery
-    /// baseline from them.
-    attach_snapshots: bool,
-}
-
-/// One worker's engines: a [`CograEngine`] per query this shard hosts
-/// (every query with a `GROUP-BY` prefix; pinned queries only on their
-/// home worker), plus the shard's private reorder buffer under slack.
+/// One shard: an engine per query it hosts (every query with a
+/// `GROUP-BY` prefix; pinned queries only on their home shard), plus the
+/// shard's private reorder buffer under slack. The same code runs inline
+/// (called directly by the pool) and inside a worker thread.
 struct Shard {
-    engines: Vec<Option<CograEngine>>,
+    engines: Vec<Option<Engine>>,
     /// Per-shard disorder repair ([`PoolConfig::slack`]); the admission
     /// decision already happened at the coordinator's [`LateGate`].
     reorder: Option<ReorderBuffer<Item>>,
     slack: u64,
     /// The largest raw event time this shard has seen in its sub-stream.
     local_watermark: Timestamp,
-    /// Scratch for released items (reused across batches).
+    /// Scratch for released items (reused across releases).
     released: Vec<Item>,
+    /// Sample peak memory every 64 ingested events. Worker threads only:
+    /// an inline shard's caller reads [`Shard::memory`] directly, and the
+    /// walk must stay off its per-event path.
+    sampling: bool,
     peak: usize,
     since_sample: usize,
     /// Events ingested into this shard's engines (the per-shard counter
@@ -1429,28 +1383,17 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(mut cfg: ShardConfig) -> Shard {
-        let engines = match cfg.seeded.take() {
-            Some(engines) => engines,
-            None => cfg
-                .runtimes
-                .iter()
-                .enumerate()
-                .map(|(q, rt)| {
-                    let hosted = rt.query.group_prefix > 0 || q % cfg.threads == cfg.index;
-                    hosted.then(|| CograEngine::from_runtime(Arc::clone(rt)))
-                })
-                .collect(),
-        };
+    fn new(engines: Vec<Option<Engine>>, slack: Option<u64>, events: u64, sampling: bool) -> Shard {
         let mut shard = Shard {
             engines,
-            reorder: cfg.slack.map(|_| ReorderBuffer::new()),
-            slack: cfg.slack.unwrap_or(0),
+            reorder: slack.map(|_| ReorderBuffer::new()),
+            slack: slack.unwrap_or(0),
             local_watermark: Timestamp::ZERO,
             released: Vec::new(),
+            sampling,
             peak: 0,
             since_sample: 0,
-            events: cfg.events,
+            events,
         };
         shard.peak = shard.memory();
         shard
@@ -1463,7 +1406,12 @@ impl Shard {
         let states = self
             .engines
             .iter()
-            .map(|e| e.as_ref().map(CograEngine::snapshot_state))
+            .map(|e| {
+                e.as_ref().map(|e| {
+                    e.snapshot_state()
+                        .expect("every EngineKind engine is a router")
+                })
+            })
             .collect();
         let buffered = match &self.reorder {
             Some(buffer) => buffer
@@ -1505,83 +1453,122 @@ impl Shard {
         self.since_sample = 0;
     }
 
-    /// Feed one released item to its query's engine. The coordinator
-    /// hashed the key at ingest to place the event; reuse it so the key
-    /// is extracted once per event.
-    fn ingest(&mut self, item: Item) {
-        let engine = self.engines[item.query as usize]
+    /// Whether items pass through the reorder buffer (slack is active).
+    fn buffers(&self) -> bool {
+        self.reorder.is_some()
+    }
+
+    /// Items waiting in the reorder buffer.
+    fn buffered(&self) -> usize {
+        self.reorder.as_ref().map_or(0, ReorderBuffer::len)
+    }
+
+    /// Feed one in-order event to its query's engine. The coordinator
+    /// hashed the key to place the event; reuse it so the key is
+    /// extracted once per event.
+    fn ingest(&mut self, query: usize, event: &Event, key_hash: Option<u64>) {
+        self.engines[query]
             .as_mut()
-            .expect("coordinator only targets hosted queries");
-        engine.process_prehashed(&item.event, item.key_hash);
+            .expect("coordinator only targets hosted queries")
+            .process_prehashed(event, key_hash);
         self.events += 1;
-        self.since_sample += 1;
-        if self.since_sample >= 64 {
-            self.sample_peak();
+        if self.sampling {
+            self.since_sample += 1;
+            if self.since_sample >= 64 {
+                self.sample_peak();
+            }
         }
     }
 
-    /// Ingest one transported batch: straight into the engines when the
-    /// stream is trusted ordered, through the shard's reorder buffer
-    /// (releasing everything slack ticks behind this shard's own
-    /// watermark) otherwise.
-    fn on_batch(&mut self, items: Vec<Item>) {
+    /// Take one routed item: straight into its engine when the stream is
+    /// trusted ordered, otherwise through the reorder buffer, releasing
+    /// everything `slack` ticks behind this shard's own watermark.
+    fn push(&mut self, item: Item) {
         match &mut self.reorder {
-            None => {
-                for item in items {
-                    self.ingest(item);
-                }
-            }
+            None => self.ingest(item.query as usize, &item.event, item.key_hash),
             Some(buffer) => {
-                let mut wm = self.local_watermark;
-                for item in items {
-                    wm = wm.max(item.event.time);
-                    buffer.push(item.event.time, item);
-                }
-                self.local_watermark = wm;
-                let mut released = std::mem::take(&mut self.released);
-                buffer.release_up_to(wm.saturating_sub(self.slack), &mut released);
-                for item in released.drain(..) {
-                    self.ingest(item);
-                }
-                self.released = released;
+                self.local_watermark = self.local_watermark.max(item.event.time);
+                buffer.push(item.event.time, item);
+                self.release(self.local_watermark.saturating_sub(self.slack));
             }
         }
-        // Sample at the batch-flush boundary besides the every-64-events
-        // stride: a burst shorter than the stride would otherwise leave
-        // its peak invisible until the next drain.
+    }
+
+    /// Ingest one transported batch, sampling the peak at the batch
+    /// boundary besides the every-64-events stride: a burst shorter than
+    /// the stride would otherwise stay invisible until the next drain.
+    fn on_batch(&mut self, items: Vec<Item>) {
+        for item in items {
+            self.push(item);
+        }
         if self.since_sample > 0 {
             self.sample_peak();
         }
     }
 
-    /// Catch the shard up to the broadcast safe watermark: release every
-    /// buffered item at or before it (the gate guarantees anything still
-    /// buffered beyond it is not yet globally final), then advance every
-    /// hosted engine so globally-closed windows finalize even if this
-    /// shard's own sub-stream went quiet.
-    fn advance_to(&mut self, safe: Timestamp) {
-        if let Some(buffer) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buffer.release_up_to(safe, &mut released);
-            for item in released.drain(..) {
-                self.ingest(item);
-            }
-            self.released = released;
+    /// Ingest every buffered item at or before `up_to`, in order.
+    fn release(&mut self, up_to: Timestamp) {
+        let Some(buffer) = &mut self.reorder else {
+            return;
+        };
+        let mut released = std::mem::take(&mut self.released);
+        buffer.release_up_to(up_to, &mut released);
+        for item in released.drain(..) {
+            self.ingest(item.query as usize, &item.event, item.key_hash);
         }
+        self.released = released;
+    }
+
+    /// Catch the shard up to the safe watermark: release every buffered
+    /// item at or before it (the gate guarantees anything still buffered
+    /// beyond it is not yet globally final), then advance every hosted
+    /// engine so globally-closed windows finalize even if this shard's
+    /// own sub-stream went quiet.
+    fn advance_to(&mut self, safe: Timestamp) {
+        self.release(safe);
         for e in self.engines.iter_mut().flatten() {
             e.advance_watermark(safe);
         }
     }
 
-    /// End of stream: flush the reorder buffer into the engines.
-    fn flush(&mut self) {
-        if let Some(buffer) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buffer.flush(&mut released);
-            for item in released.drain(..) {
-                self.ingest(item);
+    /// Emit every hosted engine's final results, tagged with the query.
+    fn drain(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+        for (q, e) in self.engines.iter_mut().enumerate() {
+            if let Some(e) = e {
+                e.drain_into(&mut |r| out(q, r));
             }
-            self.released = released;
+        }
+    }
+
+    /// End of stream: flush the reorder buffer into the engines, close
+    /// every window, and fold the engines' finalization spikes into the
+    /// peak.
+    fn finish(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
+        self.release(Timestamp(u64::MAX));
+        if self.sampling {
+            self.sample_peak();
+        }
+        let mut hint = 0usize;
+        for (q, e) in self.engines.iter_mut().enumerate() {
+            if let Some(e) = e {
+                e.finish_into(&mut |r| out(q, r));
+                hint += e.peak_hint();
+            }
+        }
+        self.peak = self.peak.max(hint);
+    }
+
+    /// This shard's report to the coordinator.
+    fn reply(&self, results: Vec<(usize, WindowResult)>, snapshot: Option<ShardSnapshot>) -> Reply {
+        Reply {
+            results,
+            memory: self.memory(),
+            peak: self.peak,
+            stats: self.stats(),
+            key_overflow: self.key_overflow(),
+            shard_events: self.events,
+            snapshot,
+            failure: None,
         }
     }
 }
@@ -1592,10 +1579,16 @@ impl Shard {
 /// recovers per its [`FailurePolicy`]. The shard's state is discarded on
 /// unwind (a replacement is rebuilt from the recovery baseline), so
 /// `AssertUnwindSafe` is sound here.
-fn shard_worker(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
+fn shard_worker(
+    index: usize,
+    shard: Shard,
+    attach_snapshots: bool,
+    rx: Receiver<Cmd>,
+    tx: Sender<Reply>,
+) {
     let failure_tx = tx.clone();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        shard_loop(cfg, rx, tx)
+        shard_loop(index, shard, attach_snapshots, rx, tx)
     }));
     if let Err(payload) = result {
         let _ = failure_tx.send(Reply::failed(panic_message(payload.as_ref())));
@@ -1614,25 +1607,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One shard's worker loop: private per-query [`CograEngine`]s over the
-/// shard's sub-stream, replying to drain/finish round trips. With the
-/// `faults` feature, per-shard failpoints (`worker/batch/{i}`,
-/// `worker/drain/{i}`, `worker/snapshot/{i}`, `worker/finish/{i}`) panic
-/// the loop on schedule — each shard's command stream is deterministic
-/// given the routing, so the hit counters are too.
-fn shard_loop(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
-    #[cfg(feature = "faults")]
-    let index = cfg.index;
-    let attach_snapshots = cfg.attach_snapshots;
-    let mut shard = Shard::new(cfg);
+/// One shard's worker loop, replying to drain/snapshot/finish round
+/// trips. With the `faults` feature, per-shard failpoints
+/// (`worker/batch/{i}`, `worker/drain/{i}`, `worker/snapshot/{i}`,
+/// `worker/finish/{i}`) panic the loop on schedule — each shard's command
+/// stream is deterministic given the routing, so the hit counters are
+/// too.
+fn shard_loop(
+    index: usize,
+    mut shard: Shard,
+    attach_snapshots: bool,
+    rx: Receiver<Cmd>,
+    tx: Sender<Reply>,
+) {
+    #[cfg(not(feature = "faults"))]
+    let _ = index;
     for cmd in rx {
-        match cmd {
+        let reply = match cmd {
             Cmd::Batch(items) => {
                 shard.on_batch(items);
                 // Fire *after* the batch mutated the engines: recovery
                 // must discard the partial work, not resume over it.
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/batch/{index}"));
+                continue;
             }
             Cmd::Drain(wm) => {
                 #[cfg(feature = "faults")]
@@ -1640,73 +1638,26 @@ fn shard_loop(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
                 shard.advance_to(wm);
                 shard.sample_peak();
                 let mut results = Vec::new();
-                for (q, e) in shard.engines.iter_mut().enumerate() {
-                    if let Some(e) = e {
-                        e.drain_into(&mut |r| results.push((q as u32, r)));
-                    }
-                }
-                if tx
-                    .send(Reply {
-                        results,
-                        memory: shard.memory(),
-                        peak: shard.peak,
-                        stats: shard.stats(),
-                        key_overflow: shard.key_overflow(),
-                        shard_events: shard.events,
-                        snapshot: attach_snapshots.then(|| shard.snapshot()),
-                        failure: None,
-                    })
-                    .is_err()
-                {
-                    return; // coordinator dropped mid-drain
-                }
+                shard.drain(&mut |q, r| results.push((q, r)));
+                shard.reply(results, attach_snapshots.then(|| shard.snapshot()))
             }
             Cmd::Snapshot => {
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/snapshot/{index}"));
                 shard.sample_peak();
-                if tx
-                    .send(Reply {
-                        results: Vec::new(),
-                        memory: shard.memory(),
-                        peak: shard.peak,
-                        stats: shard.stats(),
-                        key_overflow: shard.key_overflow(),
-                        shard_events: shard.events,
-                        snapshot: Some(shard.snapshot()),
-                        failure: None,
-                    })
-                    .is_err()
-                {
-                    return; // coordinator dropped mid-snapshot
-                }
+                shard.reply(Vec::new(), Some(shard.snapshot()))
             }
             Cmd::Finish => {
                 #[cfg(feature = "faults")]
                 cogra_faults::maybe_panic(&format!("worker/finish/{index}"));
-                shard.flush();
-                shard.sample_peak();
                 let mut results = Vec::new();
-                let mut hint = 0usize;
-                for (q, e) in shard.engines.iter_mut().enumerate() {
-                    if let Some(e) = e {
-                        e.finish_into(&mut |r| results.push((q as u32, r)));
-                        hint += e.peak_hint();
-                    }
-                }
-                shard.peak = shard.peak.max(hint);
-                let _ = tx.send(Reply {
-                    results,
-                    memory: shard.memory(),
-                    peak: shard.peak,
-                    stats: shard.stats(),
-                    key_overflow: shard.key_overflow(),
-                    shard_events: shard.events,
-                    snapshot: None,
-                    failure: None,
-                });
+                shard.finish(&mut |q, r| results.push((q, r)));
+                let _ = tx.send(shard.reply(results, None));
                 return;
             }
+        };
+        if tx.send(reply).is_err() {
+            return; // coordinator dropped mid-round-trip
         }
     }
 }
@@ -1714,21 +1665,27 @@ fn shard_loop(cfg: ShardConfig, rx: Receiver<Cmd>, tx: Sender<Reply>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cogra::CograEngine;
+    use crate::engine::run_to_completion;
     use cogra_events::{EventBuilder, TypeRegistry, Value, ValueKind};
+
+    fn runtime(reg: &TypeRegistry, query: &str) -> Arc<QueryRuntime> {
+        let q = cogra_query::parse(query).unwrap();
+        Arc::new(QueryRuntime::new(
+            cogra_query::compile(&q, reg).unwrap(),
+            reg,
+        ))
+    }
 
     fn setup(n: usize) -> (Arc<QueryRuntime>, Vec<Event>) {
         let mut reg = TypeRegistry::new();
         let a = reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
         let b = reg.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        let q = cogra_query::parse(
+        let rt = runtime(
+            &reg,
             "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
              GROUP-BY g WITHIN 16 SLIDE 8",
-        )
-        .unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
+        );
         let mut builder = EventBuilder::new();
         let events: Vec<Event> = (0..n)
             .map(|i| {
@@ -1743,9 +1700,15 @@ mod tests {
         (rt, events)
     }
 
+    /// One sequential COGRA engine over the whole stream.
+    fn sequential(rt: &Arc<QueryRuntime>, events: &[Event]) -> Vec<WindowResult> {
+        let mut engine = CograEngine::from_runtime(Arc::clone(rt));
+        run_to_completion(&mut engine, events, 64).0
+    }
+
     fn pool(rt: &Arc<QueryRuntime>, workers: usize, batch: usize) -> StreamingPool {
         StreamingPool::new(
-            vec![Arc::clone(rt)],
+            vec![(EngineKind::Cogra, Arc::clone(rt))],
             workers,
             PoolConfig {
                 batch_size: batch,
@@ -1756,48 +1719,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
+    fn streaming_pool_matches_sequential_engine() {
         let (rt, events) = setup(300);
-        let sequential = run_parallel(&rt, &events, 1);
-        for workers in [2, 4, 8] {
-            let parallel = run_parallel(&rt, &events, workers);
-            assert_eq!(parallel.results, sequential.results, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn more_workers_than_groups_is_fine() {
-        let (rt, events) = setup(50);
-        let run = run_parallel(&rt, &events, 64);
-        assert!(!run.results.is_empty());
-        assert_eq!(run.workers, 64);
-    }
-
-    #[test]
-    fn no_group_by_falls_back_to_single_worker() {
-        let mut reg = TypeRegistry::new();
-        let a = reg.register_type("A", vec![("v", ValueKind::Int)]);
-        let q = cogra_query::parse("RETURN COUNT(*) PATTERN A+ WITHIN 8 SLIDE 4").unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
-        let mut b = EventBuilder::new();
-        let events: Vec<Event> = (0..20)
-            .map(|i| b.event(i + 1, a, vec![Value::Int(i as i64)]))
-            .collect();
-        let run = run_parallel(&rt, &events, 8);
-        assert_eq!(run.workers, 1);
-        assert!(!run.results.is_empty());
-    }
-
-    #[test]
-    fn streaming_pool_matches_batch_reference() {
-        let (rt, events) = setup(300);
-        let batch = run_parallel(&rt, &events, 1);
+        let expected = sequential(&rt, &events);
         for workers in [1, 2, 4, 8] {
             for batch_size in [1, 7, DEFAULT_BATCH_SIZE, 10_000] {
                 let mut pool = pool(&rt, workers, batch_size);
+                assert_eq!(pool.is_threaded(), workers > 1);
                 let mut results = Vec::new();
                 let mut push = |_q: usize, r: WindowResult| results.push(r);
                 for (i, e) in events.iter().enumerate() {
@@ -1808,10 +1736,7 @@ mod tests {
                 }
                 pool.finish_into(&mut push);
                 WindowResult::sort(&mut results);
-                assert_eq!(
-                    results, batch.results,
-                    "workers={workers} batch={batch_size}"
-                );
+                assert_eq!(results, expected, "workers={workers} batch={batch_size}");
                 assert_eq!(pool.workers(), workers);
                 assert!(pool.peak_bytes() > 0, "workers={workers}");
             }
@@ -1839,7 +1764,7 @@ mod tests {
         pool.finish_into(&mut |_q, r| rest.push(r));
         live.extend(rest);
         WindowResult::sort(&mut live);
-        assert_eq!(live, run_parallel(&rt, &events, 4).results);
+        assert_eq!(live, sequential(&rt, &events));
     }
 
     #[test]
@@ -1851,15 +1776,11 @@ mod tests {
         let mut reg = TypeRegistry::new();
         let a = reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
         let b = reg.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        let q = cogra_query::parse(
+        let rt = runtime(
+            &reg,
             "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY \
              GROUP-BY g WITHIN 8 SLIDE 4",
-        )
-        .unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
+        );
         let mut builder = EventBuilder::new();
         let events: Vec<Event> = (0..40)
             .map(|i| {
@@ -1876,27 +1797,27 @@ mod tests {
         assert!(!live.is_empty());
         pool.finish_into(&mut |_q, r| live.push(r));
         WindowResult::sort(&mut live);
-        assert_eq!(live, run_parallel(&rt, &events, 8).results);
+        assert_eq!(live, sequential(&rt, &events));
     }
 
     #[test]
     fn pool_finish_is_idempotent_and_no_group_clamps_to_one() {
         let mut reg = TypeRegistry::new();
         let a = reg.register_type("A", vec![("v", ValueKind::Int)]);
-        let q = cogra_query::parse("RETURN COUNT(*) PATTERN A+ WITHIN 8 SLIDE 4").unwrap();
-        let rt = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q, &reg).unwrap(),
-            &reg,
-        ));
+        let rt = runtime(&reg, "RETURN COUNT(*) PATTERN A+ WITHIN 8 SLIDE 4");
         let mut pool = pool(&rt, 8, DEFAULT_BATCH_SIZE);
         assert_eq!(pool.workers(), 1, "no GROUP-BY ⇒ one shard");
+        assert!(!pool.is_threaded(), "one shard runs inline");
         let mut b = EventBuilder::new();
-        for i in 0..20u64 {
-            pool.route_owned(b.event(i + 1, a, vec![Value::Int(i as i64)]));
+        let events: Vec<Event> = (0..20u64)
+            .map(|i| b.event(i + 1, a, vec![Value::Int(i as i64)]))
+            .collect();
+        for e in &events {
+            pool.route_owned(e.clone());
         }
         let mut out = Vec::new();
         pool.finish_into(&mut |_q, r| out.push(r));
-        assert!(!out.is_empty());
+        assert_eq!(out, sequential(&rt, &events));
         let n = out.len();
         let mut extra = 0usize;
         pool.finish_into(&mut |_q, _r| extra += 1);
@@ -1908,24 +1829,22 @@ mod tests {
     #[test]
     fn shared_pool_serves_multiple_queries_with_tagged_results() {
         let (rt, events) = setup(200);
-        let q2 = cogra_query::parse(
-            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT \
-             GROUP-BY g WITHIN 16 SLIDE 8",
-        )
-        .unwrap();
         let mut reg = TypeRegistry::new();
         reg.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
         reg.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
-        let rt2 = Arc::new(QueryRuntime::new(
-            cogra_query::compile(&q2, &reg).unwrap(),
+        let rt2 = runtime(
             &reg,
-        ));
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS NEXT \
+             GROUP-BY g WITHIN 16 SLIDE 8",
+        );
         let mut pool = StreamingPool::new(
-            vec![Arc::clone(&rt), Arc::clone(&rt2)],
+            vec![
+                (EngineKind::Cogra, Arc::clone(&rt)),
+                (EngineKind::Sase, Arc::clone(&rt2)),
+            ],
             4,
             PoolConfig::default(),
         );
-        assert_eq!(pool.queries(), 2);
         let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(), Vec::new()];
         for e in &events {
             pool.route(e);
@@ -1934,7 +1853,7 @@ mod tests {
         for (q, rt) in [(0usize, &rt), (1usize, &rt2)] {
             let mut got = per_query[q].clone();
             WindowResult::sort(&mut got);
-            assert_eq!(got, run_parallel(rt, &events, 4).results, "query {q}");
+            assert_eq!(got, sequential(rt, &events), "query {q}");
         }
     }
 
@@ -1944,15 +1863,10 @@ mod tests {
         // register its peak at the batch-flush boundary — sampling only
         // every 64 events under-reported sub-interval bursts.
         let (rt, events) = setup(10);
-        let mut shard = Shard::new(ShardConfig {
-            runtimes: vec![Arc::clone(&rt)],
-            threads: 1,
-            index: 0,
-            slack: None,
-            seeded: None,
-            events: 0,
-            attach_snapshots: false,
-        });
+        let engines = vec![Some(
+            EngineKind::Cogra.engine(Arc::clone(&rt), None).unwrap(),
+        )];
+        let mut shard = Shard::new(engines, None, 0, true);
         let items: Vec<Item> = events
             .iter()
             .map(|e| Item {
@@ -1969,6 +1883,25 @@ mod tests {
             "a 10-event batch samples peak at its flush boundary"
         );
         assert_eq!(shard.events, 10, "per-shard ingest counter");
+    }
+
+    #[test]
+    fn inline_shard_never_samples_and_reports_exact_memory() {
+        let (rt, events) = setup(200);
+        let mut pool = pool(&rt, 1, DEFAULT_BATCH_SIZE);
+        let start = pool.peak_bytes();
+        let mut reference = CograEngine::from_runtime(Arc::clone(&rt));
+        for e in &events {
+            pool.route(e);
+            reference.process(e);
+        }
+        assert_eq!(pool.memory_bytes(), reference.memory_bytes());
+        assert!(pool.memory_bytes() > start);
+        assert_eq!(
+            pool.peak_bytes(),
+            start,
+            "the caller samples, not the shard"
+        );
     }
 
     #[test]
@@ -1999,11 +1932,11 @@ mod tests {
         for chunk in ordered.chunks(5) {
             disordered.extend(chunk.iter().rev().cloned());
         }
-        let expected = run_parallel(&rt, &ordered, 4).results;
-        for batch_size in [1, 7, DEFAULT_BATCH_SIZE] {
+        let expected = sequential(&rt, &ordered);
+        for (workers, batch_size) in [(1, 1), (4, 1), (4, 7), (4, DEFAULT_BATCH_SIZE)] {
             let mut pool = StreamingPool::new(
-                vec![Arc::clone(&rt)],
-                4,
+                vec![(EngineKind::Cogra, Arc::clone(&rt))],
+                workers,
                 PoolConfig {
                     batch_size,
                     slack: Some(5),
@@ -2019,8 +1952,8 @@ mod tests {
             }
             pool.finish_into(&mut |_q, r| out.push(r));
             WindowResult::sort(&mut out);
-            assert_eq!(out, expected, "batch={batch_size}");
-            assert_eq!(pool.late_events(), 0, "batch={batch_size}");
+            assert_eq!(out, expected, "workers={workers} batch={batch_size}");
+            assert_eq!(pool.late_events(), 0, "workers={workers}");
         }
     }
 }

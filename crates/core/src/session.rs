@@ -1,10 +1,7 @@
 //! The unified `Session` pipeline: one ingestion API for every consumer.
 //!
-//! Historically each consumer wired the engines differently — a
-//! string-keyed factory in the bench crate, free `run_to_completion` /
-//! `run_parallel` calls, a separate `MultiEngine` fan-out, and hand-rolled
-//! `Reorderer` plumbing in the CLI. [`Session`] replaces all of that with
-//! one builder-style facade:
+//! Every consumer — the CLI, the server, the benchmarks — drives the
+//! engines through one builder-style facade, [`Session`]:
 //!
 //! ```
 //! use cogra_core::session::{EngineKind, Session};
@@ -31,39 +28,39 @@
 //!   constructor's `QueryError`, exactly as §9.2 charts omit unsupported
 //!   approaches. Multi-query sessions may mix kinds per query via
 //!   [`SessionBuilder::query_with_engine`].
-//! * `.slack(n)` fuses disorder repair into ingestion: bounded disorder is
-//!   repaired before the engines see the events, and late drops are
-//!   surfaced via [`Session::late_events`]. Under `.workers(n)` the
-//!   repair itself runs per shard (each worker reorders its own
-//!   sub-stream) while a coordinator-side gate keeps the drop decisions
-//!   identical to a single front [`Reorderer`].
-//! * `.workers(n)` shards execution across a live [`StreamingPool`] (§8)
-//!   — COGRA only. One pool serves every query of the session (each
-//!   worker hosts one engine per query/shard), events are hashed to
-//!   per-worker threads at ingest time and shipped in batches
-//!   ([`SessionBuilder::batch_size`]), and [`Session::drain_into`] emits
-//!   results for closed windows while the stream is still running,
-//!   exactly as in sequential mode.
+//! * Every session runs on one [`StreamingPool`] (§8): each query's
+//!   engine is sharded by its `GROUP-BY` prefix, whatever the
+//!   [`EngineKind`]. `.workers(1)` (the default) is the pool with one
+//!   *inline* shard — no thread, no channel: ingestion feeds the engines
+//!   directly. `.workers(n)` hashes events to `n` worker threads at
+//!   ingest time and ships them in batches ([`SessionBuilder::batch_size`]);
+//!   one pool serves every query of the session, and
+//!   [`Session::drain_into`] emits results for closed windows while the
+//!   stream is still running, at any width.
+//! * `.slack(n)` fuses disorder repair into ingestion: each shard
+//!   repairs its own sub-stream while a stream-wide gate keeps the
+//!   late-drop decisions identical to a single front
+//!   [`Reorderer`](cogra_events::Reorderer), whatever the worker count.
+//!   Late drops are surfaced via [`Session::late_events`].
 //! * Every query's compiled plan stays inspectable through
 //!   [`Session::plan`] / [`SessionRun::plans`] — consumers print
 //!   granularity or automata without re-compiling.
 //! * Output is push-based: engines hand each [`WindowResult`] to a
 //!   [`ResultSink`] without materializing intermediate vectors.
 
-use crate::cogra::CograEngine;
+use crate::cogra::CograWindow;
 use crate::parallel::{FailurePolicy, PoolConfig, StreamingPool, WorkerFailure};
 use cogra_baselines::{
-    aseq_engine_from_plan, aseq_runtime, flink_engine_from_plan, flink_runtime,
-    greta_engine_from_plan, greta_runtime, oracle_engine_from_plan, oracle_runtime,
-    sase_engine_from_plan, sase_runtime, ASeqWindow, FlinkWindow, GretaWindow, OracleWindow,
-    SaseWindow,
+    aseq_runtime, flink_runtime, greta_runtime, oracle_runtime, sase_runtime, ASeqWindow,
+    FlinkWindow, GretaWindow, OracleWindow, SaseWindow,
 };
 use cogra_checkpoint::{CheckpointError, Dec, Enc, SnapshotReader, SnapshotWriter};
 use cogra_engine::runtime::{EngineConfig, QueryRuntime};
-use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowResult};
+use cogra_engine::{Router, RouterState, RunStats, TrendEngine, WindowAlgo, WindowResult};
 use cogra_events::csv::{CsvError, EventReader};
-use cogra_events::{Event, LateGate, Reorderer, Timestamp, TypeRegistry};
+use cogra_events::{Event, LateGate, Timestamp, TypeRegistry};
 use cogra_query::{canonical_signature, compile, parse, CompiledQuery, Query, QueryError};
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::str::FromStr;
@@ -128,84 +125,64 @@ impl EngineKind {
         registry: &TypeRegistry,
         config: &EngineConfig,
     ) -> Result<Box<dyn TrendEngine>, QueryError> {
-        self.build_plan(&compile(query, registry)?, registry, config)
+        let rt = self.runtime(&compile(query, registry)?, registry, config)?;
+        Ok(self
+            .engine(rt, None)
+            .expect("a fresh engine has no state to reject"))
     }
 
-    /// Build this engine from an already-compiled plan — THE construction
-    /// path every kind shares (the builder compiles each query exactly
-    /// once and all six constructors reuse that plan). Fails with the
-    /// constructor's [`QueryError`] when the engine does not support the
-    /// plan's features (Table 9).
-    pub fn build_plan(
+    /// The runtime this engine executes an already-compiled plan on —
+    /// where Table 9 is enforced: fails with the constructor's
+    /// [`QueryError`] when the engine does not support the plan's
+    /// features. The builder compiles each query exactly once, and every
+    /// shard's engine shares the one runtime built from that plan.
+    pub fn runtime(
         self,
         compiled: &CompiledQuery,
         registry: &TypeRegistry,
         config: &EngineConfig,
-    ) -> Result<Box<dyn TrendEngine>, QueryError> {
-        Ok(match self {
-            EngineKind::Cogra => Box::new(CograEngine::from_runtime(cogra_runtime(
-                compiled, registry, config,
-            ))),
-            EngineKind::Sase => Box::new(sase_engine_from_plan(compiled, registry)?),
-            EngineKind::Greta => Box::new(greta_engine_from_plan(compiled, registry)?),
-            EngineKind::Aseq => {
-                Box::new(aseq_engine_from_plan(compiled, registry, config.clone())?)
-            }
-            EngineKind::Flink => {
-                Box::new(flink_engine_from_plan(compiled, registry, config.clone())?)
-            }
-            EngineKind::Oracle => Box::new(oracle_engine_from_plan(compiled, registry)?),
-        })
+    ) -> Result<Arc<QueryRuntime>, QueryError> {
+        match self {
+            EngineKind::Cogra => Ok(Arc::new(
+                QueryRuntime::new(compiled.clone(), registry).with_config(config.clone()),
+            )),
+            EngineKind::Sase => sase_runtime(compiled, registry),
+            EngineKind::Greta => greta_runtime(compiled, registry),
+            EngineKind::Aseq => aseq_runtime(compiled, registry, config.clone()),
+            EngineKind::Flink => flink_runtime(compiled, registry, config.clone()),
+            EngineKind::Oracle => oracle_runtime(compiled, registry),
+        }
     }
 
-    /// Rebuild this engine from a checkpointed [`RouterState`] against a
-    /// compiled plan — the streaming restore path of the durability
-    /// subsystem. A Table 9 rejection here means the snapshot pairs a
-    /// query with an engine that cannot run it, which is corruption.
-    fn restore_plan(
+    /// Build this engine over a runtime from [`EngineKind::runtime`]:
+    /// fresh, or rebuilt from a checkpointed [`RouterState`] — THE
+    /// construction path of every shard. Each kind is the partition
+    /// router over its own per-window algorithm, so every kind shards by
+    /// group and snapshots the same way. Only a corrupt state fails.
+    pub fn engine(
         self,
-        compiled: &CompiledQuery,
-        registry: &TypeRegistry,
-        config: &EngineConfig,
-        state: RouterState,
-    ) -> Result<Box<dyn TrendEngine>, CheckpointError> {
-        let reject = |e: QueryError| {
-            CheckpointError::Corrupt(format!(
-                "snapshot pairs a query with engine `{}`, which rejects it: {e}",
-                self.name()
-            ))
-        };
-        Ok(match self {
-            EngineKind::Cogra => Box::new(CograEngine::from_state(
-                cogra_runtime(compiled, registry, config),
-                state,
-            )?),
-            EngineKind::Sase => Box::new(Router::<SaseWindow>::from_state(
-                sase_runtime(compiled, registry).map_err(reject)?,
-                "sase",
-                state,
-            )?),
-            EngineKind::Greta => Box::new(Router::<GretaWindow>::from_state(
-                greta_runtime(compiled, registry).map_err(reject)?,
-                "greta",
-                state,
-            )?),
-            EngineKind::Aseq => Box::new(Router::<ASeqWindow>::from_state(
-                aseq_runtime(compiled, registry, config.clone()).map_err(reject)?,
-                "aseq",
-                state,
-            )?),
-            EngineKind::Flink => Box::new(Router::<FlinkWindow>::from_state(
-                flink_runtime(compiled, registry, config.clone()).map_err(reject)?,
-                "flink",
-                state,
-            )?),
-            EngineKind::Oracle => Box::new(Router::<OracleWindow>::from_state(
-                oracle_runtime(compiled, registry).map_err(reject)?,
-                "oracle",
-                state,
-            )?),
-        })
+        rt: Arc<QueryRuntime>,
+        state: Option<RouterState>,
+    ) -> Result<Box<dyn TrendEngine + Send>, CheckpointError> {
+        fn router<W: WindowAlgo + Send + 'static>(
+            rt: Arc<QueryRuntime>,
+            name: &'static str,
+            state: Option<RouterState>,
+        ) -> Result<Box<dyn TrendEngine + Send>, CheckpointError> {
+            Ok(match state {
+                None => Box::new(Router::<W>::new(rt, name)),
+                Some(state) => Box::new(Router::<W>::from_state(rt, name, state)?),
+            })
+        }
+        let name = self.name();
+        match self {
+            EngineKind::Cogra => router::<CograWindow>(rt, name, state),
+            EngineKind::Sase => router::<SaseWindow>(rt, name, state),
+            EngineKind::Greta => router::<GretaWindow>(rt, name, state),
+            EngineKind::Aseq => router::<ASeqWindow>(rt, name, state),
+            EngineKind::Flink => router::<FlinkWindow>(rt, name, state),
+            EngineKind::Oracle => router::<OracleWindow>(rt, name, state),
+        }
     }
 
     /// Whether this engine supports `query` (Table 9), without keeping the
@@ -249,9 +226,6 @@ pub enum SessionError {
     },
     /// The builder was given no `.query(...)`.
     NoQueries,
-    /// `.workers(n > 1)` with an engine other than COGRA — per-partition
-    /// sharding (§8) is COGRA's execution strategy.
-    ParallelUnsupported(EngineKind),
 }
 
 impl fmt::Display for SessionError {
@@ -259,9 +233,6 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::Query { query, error } => write!(f, "query {query}: {error}"),
             SessionError::NoQueries => write!(f, "session has no queries"),
-            SessionError::ParallelUnsupported(kind) => {
-                write!(f, "workers > 1 requires the cogra engine, not `{kind}`")
-            }
         }
     }
 }
@@ -329,69 +300,35 @@ impl From<CsvError> for IngestError {
     }
 }
 
-/// Shared COGRA runtime construction for the streaming and `.workers(n)`
-/// paths — one site, so `config` handling cannot silently diverge. The
-/// query is compiled exactly once by the builder; runtimes share that
-/// plan.
-fn cogra_runtime(
-    compiled: &CompiledQuery,
-    registry: &TypeRegistry,
-    config: &EngineConfig,
-) -> Arc<QueryRuntime> {
-    Arc::new(QueryRuntime::new(compiled.clone(), registry).with_config(config.clone()))
-}
-
-/// Snapshot reorder-state style: a front [`Reorderer`] (streaming mode).
+/// Snapshot reorder-state style of format-1 snapshots written at one
+/// worker before shards repaired disorder themselves: one front
+/// reorder buffer ahead of every query. Still decoded, never written.
 const REORDER_FRONT: u8 = 0;
 /// Snapshot reorder-state style: the pool's coordinator-side [`LateGate`]
-/// plus per-shard buffered `(query, event)` items (`.workers(n)` mode).
+/// plus per-shard buffered `(query, event)` items.
 const REORDER_GATE: u8 = 1;
 
-/// The reorder state a snapshot carries, decoded — see
-/// [`Session::checkpoint`] for what each variant stores.
-enum ReorderSnap {
-    /// No `.slack(n)`: only the raw stream clock (the largest routed event
-    /// time), so a restored pool's admission floor matches the original's.
-    Absent {
-        /// The raw stream clock at checkpoint time.
-        clock: Timestamp,
-    },
-    /// A streaming-mode front [`Reorderer`].
-    Front {
-        /// Configured disorder tolerance.
-        slack: u64,
-        /// Largest event time pushed so far.
-        watermark: Timestamp,
-        /// Largest event time released to the engines.
-        released_to: Timestamp,
-        /// Late-drop count.
-        late: u64,
-        /// In-flight buffered events, in release order.
-        buffered: Vec<Event>,
-    },
-    /// The `.workers(n)` pool's [`LateGate`] + per-shard buffer contents.
-    Gate {
-        /// Configured disorder tolerance.
-        slack: u64,
-        /// Largest event time admitted so far.
-        watermark: Timestamp,
-        /// Stream-wide safe release point.
-        released_to: Timestamp,
-        /// Late-drop count.
-        late: u64,
-        /// Admitted-but-unreleased event times (the gate's pending set).
-        pending: Vec<Timestamp>,
-        /// In-flight `(query, event)` items from the shard reorderers.
-        buffered: Vec<(u32, Event)>,
-    },
+/// A snapshot's `reorder` section, decoded into the pool's form — see
+/// [`Session::checkpoint`] for what it stores.
+struct ReorderSnap {
+    /// The admission gate (`None` without `.slack(n)`).
+    gate: Option<LateGate>,
+    /// The raw stream clock (the largest admitted event time), so a
+    /// restored pool's admission floor matches the original's.
+    clock: Timestamp,
+    /// In-flight events with the physical query each was routed for;
+    /// `None` re-stages the event for every query.
+    buffered: Vec<(Option<u32>, Event)>,
 }
 
 impl ReorderSnap {
     /// Decode one snapshot `reorder` section.
     fn load(dec: &mut Dec) -> Result<ReorderSnap, CheckpointError> {
         if !dec.bool()? {
-            return Ok(ReorderSnap::Absent {
+            return Ok(ReorderSnap {
+                gate: None,
                 clock: Timestamp(dec.u64()?),
+                buffered: Vec::new(),
             });
         }
         let style = dec.u8()?;
@@ -399,20 +336,18 @@ impl ReorderSnap {
         let watermark = Timestamp(dec.u64()?);
         let released_to = Timestamp(dec.u64()?);
         let late = dec.u64()?;
-        match style {
+        let (pending, buffered) = match style {
+            // A front buffer had not routed its events per query yet: its
+            // event times are the gate's pending set, and each event
+            // re-stages to every query.
             REORDER_FRONT => {
                 let n = dec.usize()?;
                 let mut buffered = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    buffered.push(Event::load(dec)?);
+                    buffered.push((None, Event::load(dec)?));
                 }
-                Ok(ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                })
+                let pending = buffered.iter().map(|(_, e): &(_, Event)| e.time).collect();
+                (pending, buffered)
             }
             REORDER_GATE => {
                 let n = dec.usize()?;
@@ -424,21 +359,27 @@ impl ReorderSnap {
                 let mut buffered = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
                     let query = dec.u32()?;
-                    buffered.push((query, Event::load(dec)?));
+                    buffered.push((Some(query), Event::load(dec)?));
                 }
-                Ok(ReorderSnap::Gate {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    pending,
-                    buffered,
-                })
+                (pending, buffered)
             }
-            other => Err(CheckpointError::Corrupt(format!(
-                "unknown reorder style {other}"
-            ))),
-        }
+            other => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "unknown reorder style {other}"
+                )))
+            }
+        };
+        Ok(ReorderSnap {
+            gate: Some(LateGate::from_parts(
+                slack,
+                watermark,
+                released_to,
+                late,
+                pending,
+            )),
+            clock: watermark,
+            buffered,
+        })
     }
 }
 
@@ -638,49 +579,49 @@ impl SessionBuilder {
 
     /// Repair up to `slack` ticks of disorder before the engines see the
     /// events. Dropped late events are counted
-    /// ([`Session::late_events`]). In streaming mode this fuses a
-    /// [`Reorderer`] into ingestion; under `.workers(n)` each shard
-    /// repairs its own sub-stream concurrently while a coordinator-side
-    /// gate keeps the late-drop decisions identical to the front
-    /// reorderer's.
+    /// ([`Session::late_events`]). Each shard repairs its own sub-stream
+    /// while a stream-wide gate keeps the late-drop decisions identical
+    /// to a single front [`Reorderer`](cogra_events::Reorderer)'s, at any
+    /// worker count.
     pub fn slack(mut self, slack: u64) -> SessionBuilder {
         self.slack = Some(slack);
         self
     }
 
-    /// Execute with `workers` parallel per-partition shards (§8) — COGRA
-    /// only. Sharded execution is live and shared: ONE [`StreamingPool`]
-    /// of long-lived worker threads serves every query of the session
-    /// (each worker hosts one engine per query/shard), events are hashed
-    /// to their shard at ingest time and shipped in batches, and
-    /// [`Session::drain_into`] emits results for closed windows while the
-    /// stream is still flowing. Queries without a `GROUP-BY` prefix are
-    /// pinned to a single worker each.
+    /// Execute with `workers` per-partition shards (§8), for every engine
+    /// kind. The default, 1, is one *inline* shard: no thread, no
+    /// channel — ingestion feeds the engines directly. With `n > 1`, ONE
+    /// [`StreamingPool`] of long-lived worker threads serves every query
+    /// of the session (each worker hosts one engine per query/shard),
+    /// events are hashed to their shard at ingest time and shipped in
+    /// batches, and [`Session::drain_into`] emits results for closed
+    /// windows while the stream is still flowing. Queries without a
+    /// `GROUP-BY` prefix are pinned to a single shard each.
     pub fn workers(mut self, workers: usize) -> SessionBuilder {
         self.workers = workers.max(1);
         self
     }
 
-    /// Shard-transport batch size under `.workers(n)` (default
+    /// Shard-transport batch size under `.workers(n > 1)` (default
     /// [`crate::parallel::DEFAULT_BATCH_SIZE`]): events staged per shard
     /// before a batch is shipped to the worker. Staged events flush on
     /// every drain/finish, so this tunes hand-off cost and latency, never
     /// the result set — asserted by the batch-size sweeps in
-    /// `tests/streaming_parallel_props.rs`.
+    /// `tests/streaming_parallel_props.rs`. An inline shard has nothing
+    /// to batch.
     pub fn batch_size(mut self, batch_size: usize) -> SessionBuilder {
         self.batch_size = Some(batch_size.max(1));
         self
     }
 
-    /// What a `.workers(n)` session does when a shard worker panics
+    /// What a `.workers(n > 1)` session does when a shard worker panics
     /// (default [`FailurePolicy::Fail`]). [`FailurePolicy::Restart`]
     /// respawns the shard from its last in-memory snapshot and replays
     /// the events staged since, so output stays byte-identical to an
     /// undisturbed run; [`FailurePolicy::Degrade`] quarantines the shard
     /// and keeps serving the remaining keys, counting what the dead
-    /// shard had absorbed as [`Session::dropped_events`]. Streaming
-    /// (single-worker) sessions ignore the policy — there is no worker
-    /// to supervise.
+    /// shard had absorbed as [`Session::dropped_events`]. An inline
+    /// shard ignores the policy — there is no worker to supervise.
     pub fn on_worker_failure(mut self, policy: FailurePolicy) -> SessionBuilder {
         self.policy = policy;
         self
@@ -692,7 +633,7 @@ impl SessionBuilder {
     /// subscriptions cost one query, not N. Per-query output is
     /// byte-identical either way (`tests/sharing_battery.rs`); disable to
     /// benchmark the unshared baseline or to keep per-query engine state
-    /// separate for inspection via [`Session::engine`].
+    /// (and its [`Session::memory_bytes`] share) separate.
     ///
     /// [canonical signature]: cogra_query::canonical_signature
     pub fn sharing(mut self, sharing: bool) -> SessionBuilder {
@@ -711,11 +652,6 @@ impl SessionBuilder {
             .iter()
             .map(|(_, kind)| kind.unwrap_or(default_kind))
             .collect();
-        if self.workers > 1 {
-            if let Some(kind) = kinds.iter().find(|k| **k != EngineKind::Cogra) {
-                return Err(SessionError::ParallelUnsupported(*kind));
-            }
-        }
         let attribute =
             |query: usize| move |error: QueryError| SessionError::Query { query, error };
         let queries: Vec<Query> = self
@@ -727,7 +663,7 @@ impl SessionBuilder {
                 QuerySpec::Parsed(q) => Ok(q),
             })
             .collect::<Result<_, _>>()?;
-        // Compile every query exactly once: the plans drive the COGRA
+        // Compile every query exactly once: the plans drive the engine
         // runtimes below and stay inspectable via `Session::plan`.
         let plans: Vec<Arc<CompiledQuery>> = queries
             .iter()
@@ -756,43 +692,27 @@ impl SessionBuilder {
             SharedPlan::identity(queries.len())
         };
 
-        let mode = if self.workers > 1 {
-            let runtimes = (0..shared.physical())
-                .map(|j| cogra_runtime(&plans[shared.representative(j)], registry, &self.config))
-                .collect();
-            let pool = StreamingPool::new(
-                runtimes,
-                self.workers,
-                PoolConfig {
-                    batch_size,
-                    slack: self.slack,
-                    policy: self.policy,
-                },
-            );
-            Mode::Parallel {
-                pool: Box::new(pool),
-            }
-        } else {
-            // Every kind builds from the plan compiled above — one
-            // construction path, no second compile. One engine per
-            // physical slot, built from the representative's plan.
-            let engines = (0..shared.physical())
-                .map(|j| {
-                    let i = shared.representative(j);
-                    kinds[i]
-                        .build_plan(&plans[i], registry, &self.config)
-                        .map_err(attribute(i))
-                })
-                .collect::<Result<Vec<_>, SessionError>>()?;
-            Mode::Streaming { engines }
-        };
-
-        // The front reorderer only exists in streaming mode — under
-        // `.workers(n)` the pool repairs per shard behind its late gate.
-        let reorderer = match &mode {
-            Mode::Streaming { .. } => self.slack.map(Reorderer::new),
-            Mode::Parallel { .. } => None,
-        };
+        // Every kind builds its runtime from the plan compiled above — one
+        // construction path, no second compile. One runtime per physical
+        // slot, from the representative's plan.
+        let physical = (0..shared.physical())
+            .map(|j| {
+                let i = shared.representative(j);
+                kinds[i]
+                    .runtime(&plans[i], registry, &self.config)
+                    .map(|rt| (kinds[i], rt))
+                    .map_err(attribute(i))
+            })
+            .collect::<Result<Vec<_>, SessionError>>()?;
+        let pool = StreamingPool::new(
+            physical,
+            self.workers,
+            PoolConfig {
+                batch_size,
+                slack: self.slack,
+                policy: self.policy,
+            },
+        );
         Ok(Session {
             kind: default_kind,
             kinds,
@@ -801,10 +721,7 @@ impl SessionBuilder {
             config: self.config,
             batch_size,
             shared,
-            mode,
-            reorderer,
-            scratch: Vec::new(),
-            ingested: 0,
+            pool,
             finished: false,
         })
     }
@@ -902,13 +819,13 @@ impl SessionBuilder {
         let mut dec = Dec::new(&bytes);
         let reorder = ReorderSnap::load(&mut dec)?;
         dec.finish("reorder section")?;
-        match (&reorder, slack) {
-            (ReorderSnap::Absent { .. }, Some(_)) => {
+        match (&reorder.gate, slack) {
+            (None, Some(_)) => {
                 return Err(CheckpointError::Corrupt(
                     "slack configured but no reorder state in snapshot".to_string(),
                 ));
             }
-            (ReorderSnap::Front { .. } | ReorderSnap::Gate { .. }, None) => {
+            (Some(_), None) => {
                 return Err(CheckpointError::Corrupt(
                     "reorder state present without slack".to_string(),
                 ));
@@ -949,123 +866,38 @@ impl SessionBuilder {
             snap_workers.max(1)
         };
         let batch_size = self.batch_size.unwrap_or(snap_batch).max(1);
-        // Gate-style reorder state always restores into a pool, whatever
-        // the worker count: the buffered items already passed per-query
-        // admission, which a front reorderer cannot replay.
-        let use_pool = workers > 1 || matches!(reorder, ReorderSnap::Gate { .. });
-        if use_pool {
-            if let Some(kind) = kinds.iter().find(|k| **k != EngineKind::Cogra) {
-                return Err(CheckpointError::Unsupported(format!(
-                    "workers > 1 requires the cogra engine, not `{kind}`"
+        let physical = (0..n_physical)
+            .map(|j| {
+                let i = shared.representative(j);
+                let kind = kinds[i];
+                let rt = kind.runtime(&plans[i], registry, &config).map_err(|e| {
+                    CheckpointError::Corrupt(format!(
+                        "snapshot pairs a query with engine `{kind}`, which rejects it: {e}"
+                    ))
+                })?;
+                Ok((kind, rt))
+            })
+            .collect::<Result<Vec<_>, CheckpointError>>()?;
+        let mut pool = StreamingPool::restore(
+            physical,
+            workers,
+            PoolConfig {
+                batch_size,
+                slack,
+                policy: self.policy,
+            },
+            states,
+            reorder.gate,
+            reorder.clock,
+        )?;
+        for (query, event) in reorder.buffered {
+            if let Some(query) = query.filter(|&q| q as usize >= n_physical) {
+                return Err(CheckpointError::Corrupt(format!(
+                    "buffered item references physical run {query} of {n_physical}"
                 )));
             }
+            pool.restage(query, event);
         }
-
-        let (mode, reorderer) = if use_pool {
-            let runtimes: Vec<Arc<QueryRuntime>> = (0..shared.physical())
-                .map(|j| cogra_runtime(&plans[shared.representative(j)], registry, &config))
-                .collect();
-            let (gate, clock, front_buffered, gate_buffered) = match reorder {
-                ReorderSnap::Absent { clock } => (None, clock, Vec::new(), Vec::new()),
-                ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                } => {
-                    // A streaming snapshot rescaled onto workers: the
-                    // front buffer's event times become the gate's
-                    // pending set, and the events re-stage per shard.
-                    let pending = buffered.iter().map(|e| e.time).collect();
-                    (
-                        Some(LateGate::from_parts(
-                            slack,
-                            watermark,
-                            released_to,
-                            late,
-                            pending,
-                        )),
-                        watermark,
-                        buffered,
-                        Vec::new(),
-                    )
-                }
-                ReorderSnap::Gate {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    pending,
-                    buffered,
-                } => (
-                    Some(LateGate::from_parts(
-                        slack,
-                        watermark,
-                        released_to,
-                        late,
-                        pending,
-                    )),
-                    watermark,
-                    Vec::new(),
-                    buffered,
-                ),
-            };
-            let mut pool = StreamingPool::restore(
-                runtimes,
-                workers,
-                PoolConfig {
-                    batch_size,
-                    slack,
-                    policy: self.policy,
-                },
-                states,
-                gate,
-                clock,
-            )?;
-            for event in front_buffered {
-                pool.restage_all(event);
-            }
-            for (query, event) in gate_buffered {
-                if query as usize >= n_physical {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "buffered item references physical run {query} of {n_physical}"
-                    )));
-                }
-                pool.restage(query, event);
-            }
-            (
-                Mode::Parallel {
-                    pool: Box::new(pool),
-                },
-                None,
-            )
-        } else {
-            let engines = states
-                .into_iter()
-                .enumerate()
-                .map(|(j, state)| {
-                    let i = shared.representative(j);
-                    kinds[i].restore_plan(&plans[i], registry, &config, state)
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()?;
-            let reorderer = match reorder {
-                ReorderSnap::Absent { .. } => None,
-                ReorderSnap::Front {
-                    slack,
-                    watermark,
-                    released_to,
-                    late,
-                    buffered,
-                } => {
-                    let mut r = Reorderer::from_parts(slack, watermark, released_to, late);
-                    r.restore_buffered(buffered);
-                    Some(r)
-                }
-                ReorderSnap::Gate { .. } => unreachable!("gate snapshots restore into a pool"),
-            };
-            (Mode::Streaming { engines }, reorderer)
-        };
 
         Ok(Session {
             kind: default_kind,
@@ -1075,10 +907,7 @@ impl SessionBuilder {
             config,
             batch_size,
             shared,
-            mode,
-            reorderer,
-            scratch: Vec::new(),
-            ingested: 0,
+            pool,
             finished: false,
         })
     }
@@ -1091,17 +920,6 @@ impl SessionBuilder {
     ) -> Result<SessionRun, SessionError> {
         Ok(self.build(registry)?.run(events))
     }
-}
-
-enum Mode {
-    /// Push-through: every released event goes straight into the engines.
-    Streaming { engines: Vec<Box<dyn TrendEngine>> },
-    /// §8 sharded execution, live: every event is hashed to its shard's
-    /// worker thread at ingest time and shipped in batches through ONE
-    /// session-wide [`StreamingPool`]; drains emit watermark-final
-    /// results mid-stream. Boxed: the pool (staging buffers, recovery
-    /// journals, per-shard counters) dwarfs the streaming variant.
-    Parallel { pool: Box<StreamingPool> },
 }
 
 /// Push-based consumer of session results.
@@ -1160,16 +978,15 @@ pub struct TaggedResult {
 pub struct SessionRun {
     /// Per query (in registration order): its results, deterministically
     /// sorted by (window, group) — byte-identical to what
-    /// [`run_to_completion`] / [`run_parallel`] produce for the same
-    /// query and stream.
+    /// [`run_to_completion`] produces for the same query, engine kind and
+    /// stream, at any worker count.
     ///
     /// [`run_to_completion`]: cogra_engine::run_to_completion
-    /// [`run_parallel`]: crate::parallel::run_parallel
     pub per_query: Vec<Vec<WindowResult>>,
-    /// Peak logical memory across the run. Streaming mode sums the
-    /// engines (every query is live at once); `.workers(n)` mode sums the
-    /// shard workers' own peaks (each worker samples the summed memory of
-    /// the engines it hosts; all workers run concurrently).
+    /// Peak logical memory across the run. One inline shard: the summed
+    /// engines (every query is live at once), sampled every 64 events.
+    /// Worker-thread shards: the workers' own peaks, summed (each worker
+    /// samples the engines it hosts; all workers run concurrently).
     pub peak_bytes: usize,
     /// Workers actually used: the widest effective shard count across
     /// queries (1 unless `.workers(n)` applied; also 1 when no query has
@@ -1179,17 +996,17 @@ pub struct SessionRun {
     /// repair later dropped as hopelessly late).
     pub events: u64,
     /// Late events dropped by the `.slack(n)` repair (0 without slack).
-    /// Under `.workers(n)` the per-shard reorderers' drops are decided by
-    /// one stream-wide gate, so this count is independent of the worker
-    /// count — pinned by `tests/streaming_parallel_props.rs`.
+    /// The per-shard reorderers' drops are decided by one stream-wide
+    /// gate, so this count is independent of the worker count — pinned
+    /// by `tests/streaming_parallel_props.rs`.
     pub late_events: u64,
-    /// Routing hot-path counters summed over every engine (and, under
-    /// `.workers(n)`, every shard): `key_probes - key_allocs` events were
-    /// routed without any heap allocation.
+    /// Routing hot-path counters summed over every engine on every
+    /// shard: `key_probes - key_allocs` events were routed without any
+    /// heap allocation.
     pub stats: RunStats,
-    /// Events ingested per shard worker slot ([`Session::shard_events`]) —
-    /// a single entry in streaming mode. Under a skewed key distribution
-    /// the spread between entries is the hot-key imbalance.
+    /// Items ingested per shard ([`Session::shard_events`]) — a single
+    /// entry at one worker. Under a skewed key distribution the spread
+    /// between entries is the hot-key imbalance.
     pub shard_events: Vec<u64>,
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order
     /// ([`Session::degraded_shards`]) — empty on a healthy run.
@@ -1248,12 +1065,8 @@ pub struct Session {
     /// The multi-query sharing factoring: which physical run serves each
     /// query, and which queries each physical run fans out to.
     shared: SharedPlan,
-    mode: Mode,
-    reorderer: Option<Reorderer>,
-    scratch: Vec<Event>,
-    /// Events fed into the session so far (before any `.slack(n)`
-    /// late-drop) — the streaming-mode source for [`Session::shard_events`].
-    ingested: u64,
+    /// The shards executing the physical runs.
+    pool: StreamingPool,
     /// Whether [`Session::finish_into`] ran — a finished session has
     /// emitted and discarded its state and cannot checkpoint.
     finished: bool,
@@ -1294,26 +1107,17 @@ impl Session {
     }
 
     /// Ingest one event. With `.slack(n)` the event may be buffered (or
-    /// dropped as late); in `.workers(n)` mode released events are hashed
-    /// to their shard and staged for the next batch send immediately.
+    /// dropped as late). One inline shard feeds it to the engines right
+    /// away; under `.workers(n > 1)` it is hashed to its shard and staged
+    /// for the next batch send.
     pub fn process(&mut self, event: &Event) {
-        self.ingested += 1;
-        if self.reorderer.is_some() {
-            self.pump(|reorderer, out| reorderer.push(event.clone(), out));
-        } else {
-            self.mode.route(event);
-        }
+        self.pool.route(event);
     }
 
-    /// Like [`Session::process`], consuming the event — spares a clone on
-    /// the `.slack(n)` and single-query `.workers(n)` paths.
+    /// Like [`Session::process`], consuming the event — spares a clone
+    /// wherever the event is buffered or shipped to a shard.
     pub fn process_owned(&mut self, event: Event) {
-        self.ingested += 1;
-        if self.reorderer.is_some() {
-            self.pump(|reorderer, out| reorderer.push(event, out));
-        } else {
-            self.mode.route_owned(event);
-        }
+        self.pool.route_owned(event);
     }
 
     /// Ingest events straight off a `cogra_events::csv` stream — one
@@ -1347,7 +1151,7 @@ impl Session {
         text: &'a str,
         registry: &'a TypeRegistry,
     ) -> Result<impl Iterator<Item = Result<Event, IngestError>> + 'a, IngestError> {
-        let has_slack = self.has_slack();
+        let has_slack = self.pool.slack().is_some();
         let mut watermark = self.watermark();
         let reader = EventReader::new(text, registry)?;
         Ok(reader.map(move |item| {
@@ -1364,66 +1168,26 @@ impl Session {
         }))
     }
 
-    /// Whether slack-based disorder repair is active (front reorderer or
-    /// the pool's per-shard reorderers).
-    fn has_slack(&self) -> bool {
-        self.reorderer.is_some()
-            || matches!(&self.mode, Mode::Parallel { pool } if pool.has_slack())
-    }
-
-    /// Let `fill` release events out of the reorderer into the scratch
-    /// buffer, then route them. No-op without a reorderer.
-    fn pump(&mut self, fill: impl FnOnce(&mut Reorderer, &mut Vec<Event>)) {
-        let Some(reorderer) = &mut self.reorderer else {
-            return;
-        };
-        self.scratch.clear();
-        fill(reorderer, &mut self.scratch);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for e in scratch.drain(..) {
-            self.mode.route_owned(e);
-        }
-        self.scratch = scratch;
-    }
-
-    /// Emit every result final at the current watermark. In `.workers(n)`
-    /// mode this flushes the staged batches and broadcasts the global
-    /// watermark to the shards first, so results flow live even when some
+    /// Emit every result final at the current watermark. Every shard
+    /// first catches up to the watermark (under `.workers(n > 1)` after
+    /// the staged batches flush), so results flow live even when some
     /// shard's sub-stream went quiet.
     pub fn drain_into(&mut self, sink: &mut dyn ResultSink) {
-        let shared = &self.shared;
-        match &mut self.mode {
-            Mode::Streaming { engines } => {
-                for (j, engine) in engines.iter_mut().enumerate() {
-                    engine.drain_into(&mut |r| fan_out(&shared.members[j], r, sink));
-                }
-            }
-            Mode::Parallel { pool } => {
-                pool.drain_into(&mut |j, r| fan_out(&shared.members[j], r, sink))
-            }
-        }
+        let members = &self.shared.members;
+        self.pool
+            .drain_into(&mut |j, r| fan_out(&members[j], r, sink));
     }
 
     /// End of stream: flush the reorder buffers, close every open window,
-    /// and — in `.workers(n)` mode — join the shard workers.
+    /// and — under `.workers(n > 1)` — join the shard workers.
     ///
-    /// The session is exhausted afterwards: further
-    /// [`Session::process`] calls are unsupported (in `.workers(n)` mode
-    /// they panic — the shard workers are gone).
+    /// The session is exhausted afterwards: further [`Session::process`]
+    /// calls panic.
     pub fn finish_into(&mut self, sink: &mut dyn ResultSink) {
         self.finished = true;
-        self.pump(|reorderer, out| reorderer.flush(out));
-        let shared = &self.shared;
-        match &mut self.mode {
-            Mode::Streaming { engines } => {
-                for (j, engine) in engines.iter_mut().enumerate() {
-                    engine.finish_into(&mut |r| fan_out(&shared.members[j], r, sink));
-                }
-            }
-            Mode::Parallel { pool } => {
-                pool.finish_into(&mut |j, r| fan_out(&shared.members[j], r, sink))
-            }
-        }
+        let members = &self.shared.members;
+        self.pool
+            .finish_into(&mut |j, r| fan_out(&members[j], r, sink));
     }
 
     /// Collecting wrapper over [`Session::drain_into`].
@@ -1440,63 +1204,35 @@ impl Session {
         out
     }
 
-    /// Events dropped as too late by the `.slack(n)` repair (front
-    /// reorderer in streaming mode, the pool's gate under `.workers(n)`).
+    /// Events dropped as too late by the `.slack(n)` repair.
     pub fn late_events(&self) -> u64 {
-        match &self.mode {
-            Mode::Parallel { pool } => pool.late_events(),
-            Mode::Streaming { .. } => self.reorderer.as_ref().map_or(0, Reorderer::late_events),
-        }
+        self.pool.late_events()
     }
 
-    /// Logical memory footprint: the engines' exact accounting in
-    /// streaming mode; in `.workers(n)` mode the summed shard engines,
-    /// as of each worker's last drain (the shards run concurrently, so
-    /// there is no synchronous round trip here). The `.slack(n)` reorder
-    /// buffers are excluded — they are bounded by slack × rate and not an
-    /// engine metric of §9.1.
+    /// Logical memory footprint of the engines. Exact and current at one
+    /// worker (the inline shard's engines are summed on the spot); under
+    /// `.workers(n > 1)` the summed shard engines as of each worker's
+    /// last drain (the shards run concurrently, so there is no
+    /// synchronous round trip here). The `.slack(n)` reorder buffers are
+    /// excluded — they are bounded by slack × rate and not an engine
+    /// metric of §9.1.
     pub fn memory_bytes(&self) -> usize {
-        match &self.mode {
-            Mode::Streaming { engines } => engines.iter().map(|e| e.memory_bytes()).sum(),
-            Mode::Parallel { pool } => pool.memory_bytes(),
-        }
+        self.pool.memory_bytes()
     }
 
-    /// The minimum engine watermark across queries — results at or before
-    /// it are final everywhere. (In `.workers(n)` mode: the pool's
-    /// observable watermark — the latest routed event time, or the safe
-    /// watermark of the slack gate when disorder repair is active.)
+    /// Stream progress: results for windows closing at or before it are
+    /// final everywhere after the next drain — the latest routed event
+    /// time, or, under `.slack(n)`, the largest time the gate has
+    /// released.
     pub fn watermark(&self) -> Timestamp {
-        match &self.mode {
-            Mode::Streaming { engines } => engines
-                .iter()
-                .map(|e| e.watermark())
-                .min()
-                .unwrap_or(Timestamp::ZERO),
-            Mode::Parallel { pool } => pool.watermark(),
-        }
+        self.pool.watermark()
     }
 
-    /// Effective shard count: 1 in streaming mode; under `.workers(n)`
-    /// the pool's widest effective count across queries (also 1 when no
-    /// query has a `GROUP-BY` prefix to shard on) — the live counterpart
-    /// of [`SessionRun::workers`].
+    /// Effective shard count: the widest across queries (1 at
+    /// `.workers(1)`, and for a query with no `GROUP-BY` prefix to shard
+    /// on) — the live counterpart of [`SessionRun::workers`].
     pub fn workers(&self) -> usize {
-        match &self.mode {
-            Mode::Streaming { .. } => 1,
-            Mode::Parallel { pool } => pool.workers(),
-        }
-    }
-
-    /// Access one query's engine (streaming mode only). With sharing
-    /// active the returned engine may serve other queries too — it is the
-    /// query's physical run.
-    pub fn engine(&self, query: usize) -> Option<&dyn TrendEngine> {
-        let j = *self.shared.physical_of.get(query)?;
-        match &self.mode {
-            Mode::Streaming { engines } => engines.get(j).map(|e| e.as_ref()),
-            Mode::Parallel { .. } => None,
-        }
+        self.pool.workers()
     }
 
     /// The multi-query sharing factoring in effect: which physical run
@@ -1510,84 +1246,53 @@ impl Session {
         self.shared.physical()
     }
 
-    /// Summed routing hot-path counters ([`RunStats`]) across the
-    /// session's engines — under `.workers(n)`, across every shard, as of
-    /// each worker's last drain (final once the session finished).
+    /// Summed routing hot-path counters ([`RunStats`]) across every
+    /// shard's engines — current at one worker; under `.workers(n > 1)`
+    /// as of each worker's last drain (final once the session finished).
     pub fn run_stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        match &self.mode {
-            Mode::Streaming { engines } => {
-                for e in engines {
-                    total.merge(e.run_stats());
-                }
-            }
-            Mode::Parallel { pool } => total.merge(pool.run_stats()),
-        }
-        total
+        self.pool.run_stats()
     }
 
     /// Sticky partition-key overflow: `Some(limit)` once any event was
     /// dropped because materializing its first-seen partition key would
     /// exceed the configured [`EngineConfig::key_limit`]. `None` without
-    /// a limit. Under `.workers(n)` the flag is refreshed from the shard
-    /// workers at drain/finish boundaries (the shards run concurrently).
+    /// a limit. Under `.workers(n > 1)` the flag is refreshed from the
+    /// shard workers at drain/finish boundaries (the shards run
+    /// concurrently).
     pub fn key_overflow(&self) -> Option<u32> {
-        match &self.mode {
-            Mode::Streaming { engines } => engines.iter().find_map(|e| e.key_overflow()),
-            Mode::Parallel { pool } => pool.key_overflow(),
-        }
+        self.pool.key_overflow()
     }
 
     /// Sticky worker failure: `Some` once a shard worker died under
     /// [`FailurePolicy::Fail`] (or exhausted its restart budget under
     /// [`FailurePolicy::Restart`]). A failed session accepts no further
-    /// events and emits nothing. Always `None` in streaming mode and
-    /// under successful Degrade/Restart recovery.
+    /// events and emits nothing. Always `None` at one worker and under
+    /// successful Degrade/Restart recovery.
     pub fn worker_failure(&self) -> Option<&WorkerFailure> {
-        match &self.mode {
-            Mode::Streaming { .. } => None,
-            Mode::Parallel { pool } => pool.failure(),
-        }
+        self.pool.failure()
     }
 
     /// Shards quarantined by [`FailurePolicy::Degrade`], in index order —
-    /// empty on a healthy session (and always in streaming mode).
+    /// empty on a healthy session.
     pub fn degraded_shards(&self) -> Vec<usize> {
-        match &self.mode {
-            Mode::Streaming { .. } => Vec::new(),
-            Mode::Parallel { pool } => pool.degraded_shards(),
-        }
+        self.pool.degraded_shards()
     }
 
     /// Events lost to [`FailurePolicy::Degrade`] quarantines: what the
     /// dead shard had absorbed plus later events whose pinned query
     /// had no live fallback. 0 on a healthy session.
     pub fn dropped_events(&self) -> u64 {
-        match &self.mode {
-            Mode::Streaming { .. } => 0,
-            Mode::Parallel { pool } => pool.dropped_events(),
-        }
+        self.pool.dropped_events()
     }
 
-    /// Events ingested per shard worker, as of each worker's last drain
-    /// (final once the session finished) — the observable for hot-key
-    /// imbalance under skewed streams. Streaming mode reports one entry.
-    /// Indexed by worker slot; a session whose queries shard narrower
+    /// Items ingested per shard — one per event and query that keeps it
+    /// — the observable for hot-key imbalance under skewed streams.
+    /// Current at one worker (a single entry); under `.workers(n > 1)` as
+    /// of each worker's last drain (final once the session finished),
+    /// indexed by worker slot — a session whose queries shard narrower
     /// than `.workers(n)` leaves the unused slots at zero.
     pub fn shard_events(&self) -> Vec<u64> {
-        match &self.mode {
-            Mode::Streaming { .. } => vec![self.ingested],
-            Mode::Parallel { pool } => pool.shard_events(),
-        }
-    }
-
-    /// The active disorder tolerance, wherever it lives (front reorderer
-    /// in streaming mode, the pool's gate under `.workers(n)`).
-    fn slack_value(&self) -> Option<u64> {
-        match &self.mode {
-            Mode::Streaming { .. } => self.reorderer.as_ref().map(Reorderer::slack),
-            Mode::Parallel { pool } => pool.slack(),
-        }
+        self.pool.shard_events()
     }
 
     /// Serialize the session's complete live state into a versioned
@@ -1596,8 +1301,8 @@ impl Session {
     /// configuration, slack/workers/batch-size, every engine's partition
     /// and window state with watermarks and drain floors, and the
     /// `.slack(n)` reorder state — in-flight events, release points and
-    /// the late-drop count. Under `.workers(n)` the shards' states are
-    /// merged per query, so the snapshot is layout-independent:
+    /// the late-drop count. The shards' states are merged per query, so
+    /// the snapshot is layout-independent:
     /// [`SessionBuilder::restore`] may re-shard it onto a different
     /// `.workers(n)` (elastic rescale).
     ///
@@ -1616,91 +1321,41 @@ impl Session {
             ));
         }
 
-        // Engine states + reorder payload first (the pool does both in
-        // one snapshot round trip), then the container is written in one
-        // pass: config, reorder, one `q<i>` section per query.
-        let (states, reorder) = match &mut self.mode {
-            Mode::Streaming { engines } => {
-                let mut states = Vec::with_capacity(engines.len());
-                for e in engines.iter() {
-                    let mut enc = Enc::new();
-                    e.save_state(&mut enc)?;
-                    states.push(enc.into_bytes());
-                }
-                // Raw stream clock, for a restore onto `.workers(n)`: in
-                // streaming mode every engine saw every event, so the
-                // largest engine watermark is the largest routed time.
-                let clock = engines
-                    .iter()
-                    .map(|e| e.watermark())
-                    .max()
-                    .unwrap_or(Timestamp::ZERO);
-                let mut enc = Enc::new();
-                match &self.reorderer {
-                    None => {
-                        enc.bool(false);
-                        enc.u64(clock.ticks());
-                    }
-                    Some(r) => {
-                        enc.bool(true);
-                        enc.u8(REORDER_FRONT);
-                        enc.u64(r.slack());
-                        enc.u64(r.watermark().ticks());
-                        enc.u64(r.released_to().ticks());
-                        enc.u64(r.late_events());
-                        let buffered = r.buffered_events();
-                        enc.usize(buffered.len());
-                        for e in buffered {
-                            e.save(&mut enc);
-                        }
-                    }
-                }
-                (states, enc.into_bytes())
+        // Engine states + reorder payload first (one snapshot round trip
+        // under `.workers(n > 1)`), then the container is written in one
+        // pass: config, reorder, one `q<i>` section per physical run.
+        let (states, buffered) = self.pool.snapshot()?;
+        let mut reorder = Enc::new();
+        match self.pool.gate() {
+            None => {
+                reorder.bool(false);
+                reorder.u64(self.pool.raw_watermark().ticks());
+                debug_assert!(buffered.is_empty(), "no reorder buffers without slack");
             }
-            Mode::Parallel { pool } => {
-                let (router_states, buffered) = pool.snapshot()?;
-                let states = router_states
-                    .iter()
-                    .map(|st| {
-                        let mut enc = Enc::new();
-                        st.save(&mut enc);
-                        enc.into_bytes()
-                    })
-                    .collect();
-                let mut enc = Enc::new();
-                match pool.gate() {
-                    None => {
-                        enc.bool(false);
-                        enc.u64(pool.raw_watermark().ticks());
-                        debug_assert!(buffered.is_empty(), "no reorder buffers without slack");
-                    }
-                    Some(gate) => {
-                        enc.bool(true);
-                        enc.u8(REORDER_GATE);
-                        enc.u64(gate.slack());
-                        enc.u64(gate.watermark().ticks());
-                        enc.u64(gate.safe_watermark().ticks());
-                        enc.u64(gate.late_events());
-                        let pending = gate.pending_times();
-                        enc.usize(pending.len());
-                        for t in &pending {
-                            enc.u64(t.ticks());
-                        }
-                        // In-flight items, sorted for a layout-independent
-                        // byte stream (shard buffers come back in shard
-                        // order, not time order).
-                        let mut pairs = buffered;
-                        pairs.sort_by_key(|(q, e)| (e.time, e.id, *q));
-                        enc.usize(pairs.len());
-                        for (q, e) in &pairs {
-                            enc.u32(*q);
-                            e.save(&mut enc);
-                        }
-                    }
+            Some(gate) => {
+                reorder.bool(true);
+                reorder.u8(REORDER_GATE);
+                reorder.u64(gate.slack());
+                reorder.u64(gate.watermark().ticks());
+                reorder.u64(gate.safe_watermark().ticks());
+                reorder.u64(gate.late_events());
+                let pending = gate.pending_times();
+                reorder.usize(pending.len());
+                for t in &pending {
+                    reorder.u64(t.ticks());
                 }
-                (states, enc.into_bytes())
+                // In-flight items, sorted for a layout-independent byte
+                // stream (shard buffers come back in shard order, not time
+                // order).
+                let mut pairs = buffered;
+                pairs.sort_by_key(|(q, e)| (e.time, e.id, *q));
+                reorder.usize(pairs.len());
+                for (q, e) in &pairs {
+                    reorder.u32(*q);
+                    e.save(&mut reorder);
+                }
             }
-        };
+        }
 
         let mut w = SnapshotWriter::new(writer)?;
         let mut enc = Enc::new();
@@ -1711,7 +1366,7 @@ impl Session {
         }
         enc.str(self.kind.name());
         enc.opt_u64(self.config.flatten_cap.map(|c| c as u64));
-        enc.opt_u64(self.slack_value());
+        enc.opt_u64(self.pool.slack());
         enc.u64(self.workers() as u64);
         enc.u64(self.batch_size as u64);
         enc.opt_u64(self.config.key_limit.map(u64::from));
@@ -1723,9 +1378,11 @@ impl Session {
             enc.usize(j);
         }
         w.section("config", enc.as_slice())?;
-        w.section("reorder", &reorder)?;
+        w.section("reorder", reorder.as_slice())?;
         for (i, state) in states.iter().enumerate() {
-            w.section(&format!("q{i}"), state)?;
+            let mut enc = Enc::new();
+            state.save(&mut enc);
+            w.section(&format!("q{i}"), enc.as_slice())?;
         }
         w.finish()
     }
@@ -1739,14 +1396,14 @@ impl Session {
     /// [`Session::key_overflow`] — it is [`Session::run_csv`] and
     /// [`Session::ingest_csv`] that fail typed).
     pub fn run(self, events: &[Event]) -> SessionRun {
-        self.run_inner(events.iter().map(|e| Ok(Fed::Ref(e))), false)
+        self.run_inner(events.iter().map(|e| Ok(Cow::Borrowed(e))), false)
             .unwrap_or_else(|_| unreachable!("in-memory streams cannot fail ingestion"))
     }
 
     /// Like [`Session::run`], consuming an event stream — pairs with lazy
     /// sources (generators, decoders) without materializing a `Vec`.
     pub fn run_stream(self, events: impl IntoIterator<Item = Event>) -> SessionRun {
-        self.run_inner(events.into_iter().map(|e| Ok(Fed::Owned(e))), false)
+        self.run_inner(events.into_iter().map(|e| Ok(Cow::Owned(e))), false)
             .unwrap_or_else(|_| unreachable!("in-memory streams cannot fail ingestion"))
     }
 
@@ -1757,7 +1414,7 @@ impl Session {
     /// with [`IngestError::OutOfOrder`].
     pub fn run_csv(self, text: &str, registry: &TypeRegistry) -> Result<SessionRun, IngestError> {
         let events = self.checked_csv(text, registry)?;
-        self.run_inner(events.map(|item| item.map(Fed::Owned)), true)
+        self.run_inner(events.map(|item| item.map(Cow::Owned)), true)
     }
 
     /// The collect-everything loop shared by [`Session::run`],
@@ -1771,19 +1428,19 @@ impl Session {
     /// processed).
     fn run_inner<'a>(
         mut self,
-        events: impl Iterator<Item = Result<Fed<'a>, IngestError>>,
+        events: impl Iterator<Item = Result<Cow<'a, Event>, IngestError>>,
         strict: bool,
     ) -> Result<SessionRun, IngestError> {
         let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); self.queries()];
-        let sharded = matches!(self.mode, Mode::Parallel { .. });
+        let threaded = self.pool.is_threaded();
         let mut peak = self.memory_bytes();
         let mut count = 0u64;
         {
             let mut sink = |query: usize, result: WindowResult| per_query[query].push(result);
             for item in events {
                 match item? {
-                    Fed::Ref(event) => self.process(event),
-                    Fed::Owned(event) => self.process_owned(event),
+                    Cow::Borrowed(event) => self.process(event),
+                    Cow::Owned(event) => self.process_owned(event),
                 }
                 if strict {
                     if let Some(limit) = self.key_overflow() {
@@ -1795,7 +1452,7 @@ impl Session {
                 }
                 let i = count as usize;
                 count += 1;
-                if sharded {
+                if threaded {
                     // A shard drain is a cross-thread round trip that also
                     // flushes partial transport batches; amortize it over
                     // a coarse stride instead of paying it per event.
@@ -1829,20 +1486,14 @@ impl Session {
         for results in &mut per_query {
             WindowResult::sort(results);
         }
-        let (peak, workers) = match &self.mode {
-            Mode::Streaming { engines } => (
-                peak.max(engines.iter().map(|e| e.peak_hint()).sum::<usize>()),
-                1,
-            ),
-            // The workers' own peak accounting (sampled inside the shard
-            // threads over each worker's hosted engines) — the
-            // coordinator-side samples above only mirror it with a lag.
-            Mode::Parallel { pool } => (pool.peak_bytes(), pool.workers()),
-        };
+        // Worker threads sample their own peaks (the samples above only
+        // mirror them with a lag); an inline shard contributes the
+        // engines' finalization spikes.
+        let peak = peak.max(self.pool.peak_bytes());
         Ok(SessionRun {
             per_query,
             peak_bytes: peak,
-            workers,
+            workers: self.workers(),
             events: count,
             late_events: self.late_events(),
             stats: self.run_stats(),
@@ -1855,48 +1506,20 @@ impl Session {
     }
 }
 
-/// One ingested event: borrowed from a slice ([`Session::run`]) or owned
-/// by a streaming source ([`Session::run_stream`] / [`Session::run_csv`]).
-enum Fed<'a> {
-    Ref(&'a Event),
-    Owned(Event),
-}
-
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("kind", &self.kind)
             .field("queries", &self.queries())
-            .field("slack", &self.has_slack().then_some(()))
+            .field("slack", &self.pool.slack())
             .finish_non_exhaustive()
-    }
-}
-
-impl Mode {
-    fn route(&mut self, event: &Event) {
-        match self {
-            Mode::Streaming { engines } => {
-                for engine in engines {
-                    engine.process(event);
-                }
-            }
-            Mode::Parallel { pool } => pool.route(event),
-        }
-    }
-
-    /// Like [`Mode::route`], but consumes the event — spares one clone on
-    /// the sharded path's last target.
-    fn route_owned(&mut self, event: Event) {
-        match self {
-            Mode::Parallel { pool } => pool.route_owned(event),
-            Mode::Streaming { .. } => self.route(&event),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cogra::CograEngine;
     use crate::engine::run_to_completion;
     use cogra_events::{EventBuilder, Value, ValueKind};
     use cogra_query::Granularity;
@@ -2017,7 +1640,6 @@ mod tests {
         assert_eq!(session.query_kind(0), Some(EngineKind::Cogra));
         assert_eq!(session.query_kind(1), Some(EngineKind::Sase));
         assert_eq!(session.query_kind(2), Some(EngineKind::Greta));
-        assert_eq!(session.engine(1).unwrap().name(), "sase");
         let run = session.run(&events);
         for (i, q) in [Q_ANY, Q_NEXT, Q_ANY].iter().enumerate() {
             let mut reference = CograEngine::from_text(q, &reg).unwrap();
@@ -2094,7 +1716,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_route_through_run_parallel() {
+    fn workers_match_one_worker() {
         let reg = registry();
         let events = stream(&reg, 60);
         let sequential = Session::builder()
@@ -2206,25 +1828,6 @@ mod tests {
             Session::builder().build(&reg).unwrap_err(),
             SessionError::NoQueries
         );
-        assert!(matches!(
-            Session::builder()
-                .query(Q_ANY)
-                .engine(EngineKind::Greta)
-                .workers(2)
-                .build(&reg)
-                .unwrap_err(),
-            SessionError::ParallelUnsupported(EngineKind::Greta)
-        ));
-        // A per-query kind that is not COGRA also blocks `.workers(n)`.
-        assert!(matches!(
-            Session::builder()
-                .query(Q_ANY)
-                .query_with_engine(Q_ANY, EngineKind::Sase)
-                .workers(2)
-                .build(&reg)
-                .unwrap_err(),
-            SessionError::ParallelUnsupported(EngineKind::Sase)
-        ));
         assert!(matches!(
             Session::builder()
                 .query(Q_NEXT)
@@ -2478,43 +2081,61 @@ mod tests {
         );
     }
 
+    /// Feed `session` and one standalone engine per physical run the same
+    /// events; after every event (drained or not) the session's memory
+    /// must be the engines' exact current sum — no lag, no sampling.
+    fn assert_memory_tracks(
+        mut session: Session,
+        mut engines: Vec<Box<dyn TrendEngine>>,
+        events: &[Event],
+    ) {
+        for (i, e) in events.iter().enumerate() {
+            session.process(e);
+            for engine in &mut engines {
+                engine.process(e);
+            }
+            if i % 3 == 0 {
+                session.drain();
+                for engine in &mut engines {
+                    engine.drain();
+                }
+            }
+            let expected: usize = engines.iter().map(|e| e.memory_bytes()).sum();
+            assert_eq!(session.memory_bytes(), expected, "after event {i}");
+        }
+    }
+
     #[test]
     fn memory_is_summed_and_watermark_is_min() {
         let reg = registry();
-        let events = stream(&reg, 5);
-        let mut session = Session::builder()
+        let events = stream(&reg, 40);
+        let cfg = EngineConfig::default();
+        let any = parse(Q_ANY).unwrap();
+        let cogra = || EngineKind::Cogra.build(&any, &reg, &cfg).unwrap();
+        let unshared = Session::builder()
             .query(Q_ANY)
             .query(Q_ANY)
             .sharing(false)
             .build(&reg)
             .unwrap();
-        for e in &events {
-            session.process(e);
-        }
-        let single = {
-            let mut engine = CograEngine::from_text(Q_ANY, &reg).unwrap();
-            for e in &events {
-                engine.process(e);
-            }
-            engine.memory_bytes()
-        };
-        assert_eq!(session.memory_bytes(), 2 * single);
-        assert_eq!(session.watermark(), Timestamp(5));
-        assert_eq!(session.queries(), 2);
-        assert_eq!(session.engine(0).unwrap().name(), "cogra");
+        assert_eq!(unshared.queries(), 2);
+        assert_memory_tracks(unshared, vec![cogra(), cogra()], &events);
 
         // With sharing (the default) the duplicate roster runs ONE
         // physical automaton: memory is the single-query footprint.
-        let mut shared = Session::builder()
+        let shared = Session::builder()
             .query(Q_ANY)
             .query(Q_ANY)
             .build(&reg)
             .unwrap();
-        for e in &events {
-            shared.process(e);
-        }
         assert_eq!(shared.physical_runs(), 1);
-        assert_eq!(shared.memory_bytes(), single);
+        assert_memory_tracks(shared, vec![cogra()], &events);
+
+        let mut session = Session::builder().query(Q_ANY).build(&reg).unwrap();
+        for e in &events[..5] {
+            session.process(e);
+        }
+        assert_eq!(session.watermark(), Timestamp(5));
     }
 
     #[test]
@@ -2573,7 +2194,14 @@ mod tests {
             .build(&reg)
             .unwrap();
         assert_eq!(session.physical_runs(), 2, "kinds differ → no sharing");
-        assert_eq!(session.engine(0).unwrap().name(), "cogra");
-        assert_eq!(session.engine(1).unwrap().name(), "greta");
+        assert_eq!(session.query_kind(0), Some(EngineKind::Cogra));
+        assert_eq!(session.query_kind(1), Some(EngineKind::Greta));
+        // Each physical run is its own kind's engine, memory and all.
+        let any = parse(Q_ANY).unwrap();
+        let cfg = EngineConfig::default();
+        let engines = [EngineKind::Cogra, EngineKind::Greta]
+            .map(|kind| kind.build(&any, &reg, &cfg).unwrap())
+            .into();
+        assert_memory_tracks(session, engines, &stream(&reg, 30));
     }
 }

@@ -4,6 +4,7 @@
 
 use crate::intern::RunStats;
 use crate::output::WindowResult;
+use crate::router::RouterState;
 use cogra_checkpoint::CheckpointError;
 use cogra_events::{Event, Timestamp};
 
@@ -24,6 +25,17 @@ use cogra_events::{Event, Timestamp};
 pub trait TrendEngine {
     /// Ingest one event.
     fn process(&mut self, event: &Event);
+
+    /// Ingest one event whose full partition-key hash the caller already
+    /// computed (`QueryRuntime::key_hash` — `None` when the event's type
+    /// lacks the partition attributes). The §8 shards hash at placement
+    /// time and hand the hash down, so the key is extracted once per
+    /// event. Engines built on the router skip their own hashing; the
+    /// default ignores the hint.
+    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
+        let _ = key_hash;
+        self.process(event);
+    }
 
     /// Emit results for all windows closed at the current watermark,
     /// pushing each into `out`.
@@ -92,12 +104,12 @@ pub trait TrendEngine {
         None
     }
 
-    /// Serialize the engine's full mutable state into a checkpoint
-    /// section payload. Engines built on the router override this; the
+    /// Snapshot the engine's full mutable state — partitions, windows,
+    /// watermark, drain floor and counters — for a checkpoint or a shard
+    /// recovery baseline. Engines built on the router override this; the
     /// default refuses, so an engine without a restore path can never
     /// produce a snapshot it cannot honor.
-    fn save_state(&self, enc: &mut cogra_checkpoint::Enc) -> Result<(), CheckpointError> {
-        let _ = enc;
+    fn snapshot_state(&self) -> Result<RouterState, CheckpointError> {
         Err(CheckpointError::Unsupported(format!(
             "engine `{}` does not support checkpointing",
             self.name()

@@ -259,7 +259,7 @@ impl<W: WindowAlgo> Router<W> {
         );
         self.watermark = self.watermark.max(event.time);
         let Some(hash) = key_hash else {
-            return; // type lacks the partition attributes (see DESIGN.md)
+            return; // type lacks the partition attributes (README, "Substitutions")
         };
         let rt = Arc::clone(&self.rt);
         for ((binds, negs), drt) in self.binds.per_disjunct.iter_mut().zip(&rt.disjuncts) {
@@ -648,8 +648,11 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
         self.key_overflow
     }
 
-    fn save_state(&self, enc: &mut Enc) -> Result<(), CheckpointError> {
-        self.snapshot_state().save(enc);
-        Ok(())
+    fn process_prehashed(&mut self, event: &Event, key_hash: Option<u64>) {
+        Router::process_prehashed(self, event, key_hash)
+    }
+
+    fn snapshot_state(&self) -> Result<RouterState, CheckpointError> {
+        Ok(Router::snapshot_state(self))
     }
 }

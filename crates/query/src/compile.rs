@@ -218,7 +218,7 @@ impl CompiledQuery {
     /// Resolve the partition attributes for every registered type. Types
     /// missing any partition attribute map to `None`: their events cannot
     /// be assigned to a partition and are dropped by the engines
-    /// (documented substitution; see DESIGN.md).
+    /// (documented substitution; see README, "Substitutions").
     pub fn partition_attr_ids(&self, registry: &TypeRegistry) -> Vec<Option<Vec<AttrId>>> {
         registry
             .iter()

@@ -103,9 +103,9 @@ pub struct StatsReport {
     pub key_probes: u64,
     /// First-seen key materializations.
     pub key_allocs: u64,
-    /// Events ingested per shard worker slot, as of the last drain — the
-    /// spread between entries is the hot-key imbalance a skewed group
-    /// distribution produces. One entry in streaming mode; empty only in
+    /// Items ingested per shard, as of the last drain — the spread
+    /// between entries is the hot-key imbalance a skewed group
+    /// distribution produces. One entry at one worker; empty only in
     /// replies from servers predating the field.
     pub shard_events: Vec<u64>,
     /// Shards quarantined under `FailurePolicy::Degrade`, in index order

@@ -12,7 +12,7 @@
 //! * [`rideshare`] — Uber-style Accept/(Call Cancel)+/Finish sessions for
 //!   query q2 and the skip-till-next-match experiments.
 //!
-//! See DESIGN.md ("Substitutions") for the real-data-to-synthetic mapping.
+//! See README ("Substitutions") for the real-data-to-synthetic mapping.
 //!
 //! On top of the paper's (friendly) workloads, an **adversarial** layer
 //! stresses what production would (ROADMAP direction 5):

@@ -2,7 +2,7 @@
 //! transaction records of 19 companies in 10 sectors").
 //!
 //! This synthetic generator stands in for the EODData historical feed the
-//! paper replays (see DESIGN.md, substitutions). It reproduces the
+//! paper replays (see README, "Substitutions"). It reproduces the
 //! characteristics the evaluation depends on: 19 companies spread over 10
 //! sectors, per-company price random walks with a configurable down-tick
 //! probability (query q3 detects down-trends), and a pair of auxiliary
@@ -114,7 +114,7 @@ fn gate_sample(rng: &mut StdRng, selectivity: f64) -> f64 {
     }
 }
 
-/// Query q3 (§1), adapted to the partitioning note in DESIGN.md: trends
+/// Query q3 (§1), adapted to the partitioning note in README: trends
 /// are grouped per company (19 groups, as §9.1 reports), sector is echoed
 /// through the company key.
 pub fn q3_query(within: u64, slide: u64) -> String {

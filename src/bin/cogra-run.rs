@@ -22,10 +22,11 @@
 //! * `--query`  — a file containing one query in the paper's language
 //!   (repeat the flag for a multi-query workload over the same stream);
 //! * `--engine` — which engine to run (default `cogra`);
-//! * `--workers` — parallel per-partition shards (§8, COGRA only);
-//!   execution streams through per-worker threads and the summary line
-//!   reports the *effective* shard count (1 when a query has no
-//!   `GROUP-BY` prefix to shard on);
+//! * `--workers` — parallel per-partition shards (§8), for every engine;
+//!   results match `--workers 1`. Beyond one shard, execution streams
+//!   through per-worker threads; the summary line reports the
+//!   *effective* shard count (1 when a query has no `GROUP-BY` prefix to
+//!   shard on);
 //! * `--slack`  — repair up to N ticks of disorder before ingestion and
 //!   report how many late events had to be dropped;
 //! * `--key-limit` — admit at most N distinct partition keys; a stream

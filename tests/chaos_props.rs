@@ -346,7 +346,7 @@ fn degrade_conserves_event_accounting_at_the_pool() {
     let events = build_events(240);
     cogra_faults::configure("worker/batch/1", Trigger::OnHit(2));
     let mut pool = StreamingPool::new(
-        vec![rt],
+        vec![(EngineKind::Cogra, rt)],
         4,
         PoolConfig {
             batch_size: 5,

@@ -676,3 +676,76 @@ fn churn_snapshot_compacts_interner() {
         );
     });
 }
+
+/// The fixture stream of `tests/fixtures/v1_front_slack8.*`: 240 events,
+/// 5 groups, B every third event; arrival delayed by `i * 37 % 7` ticks,
+/// and every tenth event by 15 — past the slack of 8, so some arrive
+/// hopelessly late.
+fn v1_fixture_stream(registry: &TypeRegistry) -> Vec<Event> {
+    let a = registry.id_of("A").unwrap();
+    let b = registry.id_of("B").unwrap();
+    let mut builder = EventBuilder::new();
+    let mut keyed: Vec<(u64, u64, Event)> = (0..240u64)
+        .map(|i| {
+            let ty = if i % 3 == 2 { b } else { a };
+            let e = builder.event(
+                i + 1,
+                ty,
+                vec![Value::Int((i % 5) as i64), Value::Int((i * 7 % 11) as i64)],
+            );
+            let delay = if i % 10 == 7 { 15 } else { i * 37 % 7 };
+            (i + 1 + delay, i, e)
+        })
+        .collect();
+    keyed.sort_by_key(|&(arrival, i, _)| (arrival, i));
+    keyed.into_iter().map(|(_, _, e)| e).collect()
+}
+
+#[test]
+fn v1_front_reorder_snapshot_restores_at_every_width() {
+    // `v1_front_slack8.snap` is a format-1 snapshot in the *front*
+    // reorder style, written at one worker before shards repaired
+    // disorder themselves: roster [ANY, NEXT, renamed ANY] (the renamed
+    // duplicate shares the first query's run), `.slack(8)`, checkpointed
+    // after 120 of the fixture stream's events with 8 ticks still
+    // buffered and 11 events already dropped as late. The suffix file is
+    // what that writer's session emitted after the checkpoint (sorted per
+    // query) and its final late count. Restoring must reproduce it byte
+    // for byte at any width.
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let snap = std::fs::read(format!("{fixtures}/v1_front_slack8.snap")).expect("fixture");
+    let expected =
+        std::fs::read_to_string(format!("{fixtures}/v1_front_slack8.suffix.txt")).expect("fixture");
+    let mut registry = TypeRegistry::new();
+    for t in ["A", "B"] {
+        registry.register_type(t, vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+    }
+    let events = v1_fixture_stream(&registry);
+    for workers in [1, 2] {
+        let mut session = Session::builder()
+            .workers(workers)
+            .restore(&registry, snap.as_slice())
+            .expect("v1 front-style snapshots restore");
+        assert_eq!(session.queries(), 3);
+        assert_eq!(session.physical_runs(), 2);
+        let mut emitted: Vec<TaggedResult> = Vec::new();
+        for e in &events[120..] {
+            session.process(e);
+            session.drain_into(&mut emitted);
+        }
+        session.finish_into(&mut emitted);
+        let mut per_query: Vec<Vec<WindowResult>> = vec![Vec::new(); 3];
+        for t in emitted {
+            per_query[t.query].push(t.result);
+        }
+        let mut text = String::new();
+        for (q, results) in per_query.iter_mut().enumerate() {
+            WindowResult::sort(results);
+            for r in results.iter() {
+                text.push_str(&format!("q{q} {r:?}\n"));
+            }
+        }
+        text.push_str(&format!("late {}\n", session.late_events()));
+        assert_eq!(text, expected, "workers={workers}");
+    }
+}

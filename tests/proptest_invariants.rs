@@ -6,6 +6,8 @@ use cogra::core::run_to_completion;
 use cogra::prelude::*;
 use proptest::prelude::*;
 
+mod support;
+
 // ---------------------------------------------------------------- parser
 
 /// Generator for random surface patterns over types A..E.
@@ -174,7 +176,8 @@ proptest! {
     #[test]
     fn parallel_execution_is_deterministic(raw in proptest::collection::vec(
         (any::<bool>(), 0i64..4, 0i64..6), 0..24), workers in 1usize..6) {
-        use cogra::core::{run_parallel, QueryRuntime};
+        use cogra::core::QueryRuntime;
+        use support::run_parallel;
         use std::sync::Arc;
         let reg = registry();
         let events = stream(&raw, &reg);

@@ -9,6 +9,9 @@ use cogra::events::Reorderer;
 use cogra::prelude::*;
 use cogra::workloads::{stock, transport, StockConfig, TransportConfig};
 use std::sync::Arc;
+use support::run_parallel;
+
+mod support;
 
 fn stock_setup() -> (TypeRegistry, Vec<Event>, String) {
     let registry = stock::registry();

@@ -5,15 +5,23 @@
 //! single sequential engine — results, plus workers/peak-memory metadata
 //! sanity. A slack × workers battery additionally pins that the pool's
 //! per-shard reorderers drop exactly the events a single front
-//! `Reorderer` would, no matter how the stream shards.
+//! `Reorderer` would, no matter how the stream shards. An engine-kind
+//! battery pins that every kind of Table 9 shards the same way: at
+//! workers {1, 2, 4} × slack {none, 0, 8}, each kind that accepts a
+//! query matches `run_to_completion` on that kind, results and late
+//! drops alike.
 //!
 //! [`StreamingPool`]: cogra::core::StreamingPool
 
 use cogra::core::QueryRuntime;
+use cogra::events::Reorderer;
 use cogra::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::run_parallel;
+
+mod support;
 
 /// Queries the battery cycles through: grouped (shardable) under ANY and
 /// NEXT, and a group-free query that must pin to one shard.
@@ -62,6 +70,53 @@ fn build_disordered(reg: &TypeRegistry, rows: &[(u64, usize, i64, i64)]) -> Vec<
     let mut builder = EventBuilder::new();
     rows.iter()
         .map(|&(t, ty, g, v)| builder.event(t + 1, ids[ty], vec![Value::Int(g), Value::Int(v)]))
+        .collect()
+}
+
+/// Queries of the engine-kind battery, spanning Table 9: ANY without
+/// adjacent predicates (every kind), NEXT with an adjacent predicate
+/// (COGRA, SASE, oracle), CONT (COGRA, SASE, Flink, oracle), and an
+/// unshardable ANY query. Short windows keep the two-step engines and
+/// the oracle's trend enumeration small.
+const KIND_QUERIES: [&str; 4] = [
+    "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) SEMANTICS ANY \
+     GROUP-BY g WITHIN 6 SLIDE 3",
+    "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) SEMANTICS NEXT \
+     WHERE A.v < NEXT(A).v GROUP-BY g WITHIN 8 SLIDE 4",
+    "RETURN g, COUNT(*), MIN(A.v) PATTERN SEQ(A+, B) SEMANTICS CONT \
+     GROUP-BY g WITHIN 8 SLIDE 4",
+    "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS ANY WITHIN 4 SLIDE 2",
+];
+
+/// Every kind accepting `query`, with its sequential reference over the
+/// `slack`-repaired stream: `run_to_completion` behind one front
+/// `Reorderer` (or none), plus that reorderer's late-drop count.
+fn kind_references(
+    query: &str,
+    reg: &TypeRegistry,
+    events: &[Event],
+    slack: Option<u64>,
+) -> Vec<(EngineKind, Vec<WindowResult>, u64)> {
+    let (repaired, late) = match slack {
+        None => (events.to_vec(), 0),
+        Some(slack) => {
+            let mut reorderer = Reorderer::new(slack);
+            let mut repaired = Vec::with_capacity(events.len());
+            for e in events {
+                reorderer.push(e.clone(), &mut repaired);
+            }
+            reorderer.flush(&mut repaired);
+            (repaired, reorderer.late_events())
+        }
+    };
+    let parsed = parse(query).expect("query parses");
+    EngineKind::ALL
+        .into_iter()
+        .filter_map(|kind| {
+            let mut engine = kind.build(&parsed, reg, &EngineConfig::default()).ok()?;
+            let (results, _) = run_to_completion(engine.as_mut(), &repaired, 64);
+            Some((kind, results, late))
+        })
         .collect()
 }
 
@@ -283,6 +338,63 @@ proptest! {
         // With slack at least as deep as the disorder, nothing may drop.
         if slack >= disorder.max(1) {
             prop_assert_eq!(late, 0, "slack {} covers disorder {}", slack, disorder);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_engine_kind_shards_like_run_to_completion(
+        rows in vec((0u64..30, 0usize..2, 0i64..3, -4i64..5), 1..60),
+        query_idx in 0usize..4,
+        chunk in 1usize..20,
+        batch_idx in 0usize..4,
+    ) {
+        // The engine-kind input: every kind that accepts the query runs
+        // sharded by group like COGRA, so at every width and slack its
+        // session output must be byte-identical to the kind's own
+        // sequential run over the same (repaired) stream.
+        let reg = registry();
+        let query = KIND_QUERIES[query_idx];
+        let disordered = build_disordered(&reg, &rows);
+        let mut ordered = disordered.clone();
+        ordered.sort_by_key(|e| e.time);
+        for slack in [None, Some(0), Some(8)] {
+            let events = if slack.is_some() { &disordered } else { &ordered };
+            let references = kind_references(query, &reg, events, slack);
+            prop_assert!(references.len() >= 3, "Table 9 admits {} kinds", references.len());
+            for (kind, expected, expected_late) in &references {
+                for workers in [1usize, 2, 4] {
+                    let mut builder = Session::builder()
+                        .query(query)
+                        .engine(*kind)
+                        .workers(workers)
+                        .batch_size(BATCH_SIZES[batch_idx]);
+                    if let Some(slack) = slack {
+                        builder = builder.slack(slack);
+                    }
+                    let mut session = builder.build(&reg).expect("the kind accepts the query");
+                    let mut out: Vec<WindowResult> = Vec::new();
+                    for chunk in events.chunks(chunk) {
+                        for e in chunk {
+                            session.process(e);
+                        }
+                        session.drain_into(&mut out);
+                    }
+                    session.finish_into(&mut out);
+                    WindowResult::sort(&mut out);
+                    prop_assert_eq!(
+                        &out, expected,
+                        "{} at workers={} slack={:?}", kind, workers, slack
+                    );
+                    prop_assert_eq!(
+                        session.late_events(), *expected_late,
+                        "{} late drops at workers={} slack={:?}", kind, workers, slack
+                    );
+                }
+            }
         }
     }
 }
