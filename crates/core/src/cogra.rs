@@ -241,3 +241,54 @@ impl TrendEngine for CograEngine {
         Ok(self.0.snapshot_state())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::EngineConfig;
+    use cogra_workloads::{churn, ChurnConfig};
+
+    /// Under key churn, the router's O(1) memory figure equals a
+    /// from-scratch recount (both interners walked key by key, every
+    /// partition summed) after every event, with and without a key limit
+    /// refusing fresh keys.
+    #[test]
+    fn memory_bytes_equals_the_walk_under_churn() {
+        let reg = churn::registry();
+        let events = churn::generate(&ChurnConfig {
+            events: 3_000,
+            ..ChurnConfig::default()
+        });
+        // GROUP-BY alone (partition key = group key), and a partition
+        // attribute beyond the group, so the two interners differ.
+        let queries = [
+            churn::count_query(64, 32),
+            "RETURN session, COUNT(*) PATTERN Request R+ \
+             SEMANTICS skip-till-any-match WHERE [status] \
+             GROUP-BY session WITHIN 64 SLIDE 32"
+                .to_string(),
+        ];
+        for text in &queries {
+            for key_limit in [None, Some(40)] {
+                let compiled = compile(&cogra_query::parse(text).unwrap(), &reg).unwrap();
+                let rt = QueryRuntime::new(compiled, &reg).with_config(EngineConfig {
+                    key_limit,
+                    ..EngineConfig::default()
+                });
+                let mut engine = CograEngine::from_runtime(Arc::new(rt));
+                for (i, e) in events.iter().enumerate() {
+                    engine.process(e);
+                    if i % 16 == 15 {
+                        engine.drain();
+                    }
+                    assert_eq!(
+                        engine.memory_bytes(),
+                        engine.0.memory_bytes_by_walk(),
+                        "{text} with key_limit {key_limit:?}, after event {i}"
+                    );
+                }
+                assert_eq!(engine.key_overflow(), key_limit, "{text}");
+            }
+        }
+    }
+}

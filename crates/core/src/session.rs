@@ -1390,7 +1390,9 @@ impl Session {
     /// Run the whole stream through the session and collect everything:
     /// results (sorted per query), peak memory (sampled every 64 events,
     /// like the harness), workers used, routing stats, plans, and
-    /// late-event drops.
+    /// late-event drops. A memory sample is cheap: interner accounting
+    /// is O(1), so each sample costs time proportional to the live
+    /// window state only, never to the number of keys ever seen.
     /// With `EngineConfig::key_limit` set, events past the limit are
     /// silently dropped here (the overflow stays observable through
     /// [`Session::key_overflow`] — it is [`Session::run_csv`] and

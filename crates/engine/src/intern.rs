@@ -26,11 +26,22 @@
 //! difference is the number of events routed with **zero** heap
 //! allocations, surfaced all the way up through `SessionRun` so tests
 //! (and users) can assert the hot path stays allocation-free.
+//!
+//! Memory accounting is O(1): the interner keeps its logical footprint
+//! (key values plus table overhead) in a running counter that grows as
+//! keys and buckets are materialized, instead of walking every key ever
+//! seen whenever a caller samples memory. Keys are never freed (id
+//! stability), so the counter only grows, and a session's periodic
+//! memory sample costs time proportional to its live window state, not
+//! to the distinct-key count. Debug builds re-walk the table on every
+//! read and assert the two agree.
 
 use crate::output::GroupKey;
 use cogra_events::Value;
 use fxhash::{FxHashMap, FxHasher};
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 
 /// Dense identifier of an interned partition key. Ids are handed out in
 /// first-seen order, so they index contiguous `Vec` storage directly.
@@ -110,6 +121,10 @@ pub struct KeyInterner {
     /// `EngineConfig::key_limit` to turn unbounded key churn into a typed
     /// error instead of unbounded memory growth.
     limit: u32,
+    /// Running [`KeyInterner::memory_bytes`]: bumped on every
+    /// materialized key and every new bucket, so reading it never walks
+    /// the table.
+    bytes: usize,
 }
 
 impl Default for KeyInterner {
@@ -119,6 +134,7 @@ impl Default for KeyInterner {
             buckets: FxHashMap::default(),
             stats: RunStats::default(),
             limit: u32::MAX,
+            bytes: 0,
         }
     }
 }
@@ -136,6 +152,15 @@ pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     }
     h.finish()
 }
+
+/// Accounted footprint of one interned key: the `GroupKey` header plus
+/// its values.
+fn key_bytes(key: &[Value]) -> usize {
+    size_of::<GroupKey>() + key.iter().map(Value::memory_bytes).sum::<usize>()
+}
+
+/// Accounted footprint of one bucket, excluding its ids.
+const BUCKET_BYTES: usize = size_of::<(u64, Vec<u32>)>();
 
 impl KeyInterner {
     /// An empty interner.
@@ -173,10 +198,15 @@ impl KeyInterner {
         materialize: impl FnOnce() -> GroupKey,
     ) -> Result<PartitionId, KeyOverflow> {
         self.stats.key_probes += 1;
-        let bucket = self.buckets.entry(hash).or_default();
-        for &id in bucket.iter() {
-            if matches(&self.keys[id as usize]) {
-                return Ok(PartitionId(id));
+        // One probe serves both the lookup and the insert; a vacant entry
+        // inserts nothing unless a key is actually materialized, so
+        // refused first-seen keys leave no empty bucket behind.
+        let entry = self.buckets.entry(hash);
+        if let Entry::Occupied(bucket) = &entry {
+            for &id in bucket.get() {
+                if matches(&self.keys[id as usize]) {
+                    return Ok(PartitionId(id));
+                }
             }
         }
         // First sight: materialize and assign the next dense id — unless
@@ -189,8 +219,15 @@ impl KeyInterner {
         let id = self.keys.len() as u32;
         let key = materialize();
         debug_assert!(matches(&key), "materialized key must match its own probe");
+        self.bytes += key_bytes(&key) + size_of::<u32>();
+        match entry {
+            Entry::Occupied(mut bucket) => bucket.get_mut().push(id),
+            Entry::Vacant(slot) => {
+                self.bytes += BUCKET_BYTES;
+                slot.insert(vec![id]);
+            }
+        }
         self.keys.push(key);
-        bucket.push(id);
         Ok(PartitionId(id))
     }
 
@@ -242,29 +279,41 @@ impl KeyInterner {
                 .or_default()
                 .push(id as u32);
         }
-        Ok(KeyInterner {
+        let mut interner = KeyInterner {
             keys,
             buckets,
             stats,
             limit: u32::MAX,
-        })
+            bytes: 0,
+        };
+        interner.bytes = interner.walk_bytes();
+        Ok(interner)
     }
 
     /// Logical memory footprint: interned key values plus table overhead.
     /// Keys are retained for the interner's lifetime (id stability), so
     /// this grows with the number of *distinct* keys, not with the stream.
+    ///
+    /// O(1): the value is kept current as keys are interned, so sampling
+    /// it costs nothing however many keys were ever seen.
     pub fn memory_bytes(&self) -> usize {
-        let keys: usize = self
-            .keys
-            .iter()
-            .map(|k| {
-                std::mem::size_of::<GroupKey>() + k.iter().map(Value::memory_bytes).sum::<usize>()
-            })
-            .sum();
+        debug_assert_eq!(
+            self.bytes,
+            self.walk_bytes(),
+            "running byte counter drifted from the table walk"
+        );
+        self.bytes
+    }
+
+    /// [`KeyInterner::memory_bytes`] recounted from scratch, key by key
+    /// and bucket by bucket — O(keys ever interned). The oracle the
+    /// running counter is checked against.
+    pub(crate) fn walk_bytes(&self) -> usize {
+        let keys: usize = self.keys.iter().map(|k| key_bytes(k)).sum();
         let table: usize = self
             .buckets
             .values()
-            .map(|ids| std::mem::size_of::<(u64, Vec<u32>)>() + std::mem::size_of_val(&ids[..]))
+            .map(|ids| BUCKET_BYTES + std::mem::size_of_val(&ids[..]))
             .sum();
         keys + table
     }
@@ -273,6 +322,7 @@ impl KeyInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(vals: &[i64]) -> GroupKey {
         vals.iter().copied().map(Value::Int).collect()
@@ -366,6 +416,18 @@ mod tests {
         let s = i.stats();
         assert_eq!(s.key_probes, 5);
         assert_eq!(s.key_allocs, 2);
+        // Refused keys hold no memory: a churn of distinct first-seen
+        // keys past the ceiling leaves neither buckets nor bytes behind.
+        let (bytes, buckets) = (i.memory_bytes(), i.buckets.len());
+        for v in 100..1_100 {
+            let k = key(&[v]);
+            assert!(i
+                .intern_with(hash_values(k.iter()), |c| c == &k[..], || k.clone())
+                .is_err());
+        }
+        assert_eq!(i.memory_bytes(), bytes);
+        assert_eq!(i.buckets.len(), buckets);
+        assert_eq!(i.stats().key_probes, 1_005);
     }
 
     #[test]
@@ -376,5 +438,91 @@ mod tests {
         let vals = [Value::Int(1), Value::Int(-9), Value::Int(42)];
         let h2 = hash_values(vals.iter());
         assert_eq!(h1, h2);
+    }
+
+    /// A key of the forced-collision family: every member of one family
+    /// probes with the same fake hash, so distinct keys share a bucket.
+    fn colliding(a: u16) -> (GroupKey, u64) {
+        let k = vec![
+            Value::Bool(true),
+            Value::Int(a.into()),
+            Value::str("c".repeat(usize::from(a % 7))),
+        ];
+        (k, 0xC0_11DE + u64::from(a % 3))
+    }
+
+    /// A key probed with its real hash, with or without a string value.
+    fn plain(a: u16) -> (GroupKey, u64) {
+        let mut k = vec![Value::Int(a.into())];
+        if a % 2 == 1 {
+            k.push(Value::str("s".repeat(usize::from(a % 5))));
+        }
+        let h = hash_values(k.iter());
+        (k, h)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The running byte counter equals the table walk after every
+        /// step of a mixed workload — fresh keys, re-probes, forced
+        /// collisions, overflow refusals, limit changes and `from_parts`
+        /// round trips — and ids follow a first-seen model throughout.
+        #[test]
+        fn running_counter_equals_walk(
+            ops in proptest::collection::vec((0u8..6, 0u16..48, 0u8..8), 1..160)
+        ) {
+            let mut i = KeyInterner::new();
+            // key → (id, the hash it must be probed with). `from_parts`
+            // rebuilds buckets from real hashes, so a round trip moves
+            // forced-collision keys back to their real hash.
+            let mut model: Vec<(GroupKey, u64)> = Vec::new();
+            for (step, &(op, a, b)) in ops.iter().enumerate() {
+                match op {
+                    0..=2 => {
+                        let (k, fresh_hash) = match op {
+                            0 => plain(a),
+                            1 if !model.is_empty() => model[usize::from(a) % model.len()].clone(),
+                            1 => plain(a),
+                            _ => colliding(a),
+                        };
+                        let known = model.iter().position(|(m, _)| *m == k);
+                        let hash = known.map_or(fresh_hash, |id| model[id].1);
+                        let got = i.intern_with(hash, |c| c == &k[..], || k.clone());
+                        match known {
+                            Some(id) => prop_assert_eq!(got, Ok(PartitionId(id as u32))),
+                            None if model.len() >= i.limit() as usize => {
+                                prop_assert_eq!(got, Err(KeyOverflow { limit: i.limit() }))
+                            }
+                            None => {
+                                prop_assert_eq!(got, Ok(PartitionId(model.len() as u32)));
+                                model.push((k, hash));
+                            }
+                        }
+                    }
+                    3 => {
+                        // Around the current population: below, at and
+                        // above it, or lifted entirely.
+                        let limit = match b % 5 {
+                            4 => u32::MAX,
+                            d => (model.len() + usize::from(d)).saturating_sub(1) as u32,
+                        };
+                        i.set_limit(limit);
+                    }
+                    _ => {
+                        let limit = i.limit();
+                        i = KeyInterner::from_parts(i.keys().to_vec(), i.stats())
+                            .expect("a handful of keys fits the id space");
+                        i.set_limit(limit);
+                        for (k, h) in &mut model {
+                            *h = hash_values(k.iter());
+                        }
+                    }
+                }
+                prop_assert_eq!(i.bytes, i.walk_bytes(), "after step {}", step);
+                prop_assert_eq!(i.len(), model.len());
+                prop_assert!(i.buckets.values().all(|ids| !ids.is_empty()));
+            }
+        }
     }
 }

@@ -586,6 +586,24 @@ impl<W: WindowAlgo> Router<W> {
         }
         Ok(router)
     }
+
+    /// [`TrendEngine::memory_bytes`] recounted from scratch: both
+    /// interners walked key by key and every partition ever created
+    /// summed, active or not. O(keys ever seen) — the oracle tests check
+    /// the running accounting against.
+    #[doc(hidden)]
+    pub fn memory_bytes_by_walk(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.interner.walk_bytes()
+            + self.groups.walk_bytes()
+            + self.partition_group.len() * std::mem::size_of::<u32>()
+            + self.partitions.len() * std::mem::size_of::<Partition<W>>()
+            + self
+                .partitions
+                .iter()
+                .map(Partition::memory_bytes)
+                .sum::<usize>()
+    }
 }
 
 impl<W: WindowAlgo> TrendEngine for Router<W> {
@@ -605,13 +623,14 @@ impl<W: WindowAlgo> TrendEngine for Router<W> {
     }
 
     fn memory_bytes(&self) -> usize {
+        // Both interners keep running byte counters, so only the window
+        // state costs a walk, and it lives in active partitions only:
+        // sampling cost follows the live windows, not the keys ever seen.
         std::mem::size_of::<Self>()
             + self.interner.memory_bytes()
             + self.groups.memory_bytes()
             + self.partition_group.len() * std::mem::size_of::<u32>()
             + self.partitions.len() * std::mem::size_of::<Partition<W>>()
-            // Window state lives only in active partitions — summing over
-            // the active list keeps sampling cost off the keys-ever count.
             + self
                 .active
                 .iter()
