@@ -25,6 +25,13 @@
 //! `.slack(n)` each shard repairs its own sub-stream with a private
 //! [`ReorderBuffer`] while a coordinator-side [`LateGate`] keeps the drop
 //! decisions identical to a single front reorderer.
+//!
+//! Each worker runs its commands under a panic guard. Under
+//! [`FailurePolicy::Restart`] the worker recovers by itself: it keeps its
+//! shard's last drain or snapshot as a baseline plus a journal of the
+//! items received since, and rebuilds from them after a panic. The
+//! coordinator only sees a worker that is gone — it quarantines the
+//! shard under [`FailurePolicy::Degrade`] and fails the pool otherwise.
 
 use crate::engine::TrendEngine;
 use crate::output::WindowResult;
@@ -78,8 +85,8 @@ fn hosts(rt: &QueryRuntime, query: usize, shards: usize, shard: usize) -> bool {
     rt.query.group_prefix > 0 || query % shards == shard
 }
 
-/// What the coordinator does when a shard worker dies (panics or exits
-/// without being asked). Set via `SessionBuilder::on_worker_failure`.
+/// What a pool does when a shard worker dies (panics or exits without
+/// being asked). Set via `SessionBuilder::on_worker_failure`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Surface a sticky, typed [`WorkerFailure`]: the pool stops
@@ -93,12 +100,14 @@ pub enum FailurePolicy {
     /// reports which shards degraded. Availability over completeness —
     /// nothing is lost *silently*.
     Degrade,
-    /// Respawn the shard from its last per-shard recovery baseline (the
-    /// state captured at the previous drain) and replay the journaled
-    /// events delivered since, then retry the interrupted command. The
-    /// merged output is byte-identical to a run without the failure
-    /// (asserted by `tests/chaos_props.rs`). Costs a per-shard state
-    /// snapshot on every drain and an event journal between drains.
+    /// The worker recovers in place: it rebuilds its shard from its last
+    /// baseline (the state it captured at its previous drain or
+    /// snapshot), replays the items it received since, and re-runs the
+    /// interrupted command. The merged output is byte-identical to a run
+    /// without the failure (asserted by `tests/chaos_props.rs`). The cost
+    /// sits on the worker thread: a shard snapshot at every drain and a
+    /// copy of every item it receives between drains. A worker that keeps
+    /// dying gives up after 8 restarts and fails the pool.
     Restart,
 }
 
@@ -163,8 +172,8 @@ impl Default for PoolConfig {
 /// One routed event bound for a shard: the event, the index of the query
 /// it is for, and its precomputed full partition-key hash (`None`: the
 /// event's type has no partition key; the engine drops it itself,
-/// exactly like a sequential run). `Clone` so the coordinator can
-/// journal delivered items under [`FailurePolicy::Restart`].
+/// exactly like a sequential run). `Clone` so a worker can journal the
+/// items it receives under [`FailurePolicy::Restart`].
 #[derive(Clone)]
 struct Item {
     event: Event,
@@ -176,6 +185,13 @@ struct Item {
 enum Cmd {
     /// A batch of this shard's sub-stream, in global routing order.
     Batch(Vec<Item>),
+    /// A round trip every live shard answers with one [`Reply`].
+    Control(Control),
+}
+
+/// The broadcast commands of [`Cmd::Control`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Control {
     /// Advance to the given safe watermark and emit everything now final.
     Drain(Timestamp),
     /// Serialize every hosted engine and the reorder buffer's in-flight
@@ -186,7 +202,7 @@ enum Cmd {
     Finish,
 }
 
-/// One shard's contribution to a pool snapshot — also the per-shard
+/// One shard's contribution to a pool snapshot — also a worker's
 /// recovery baseline under [`FailurePolicy::Restart`].
 #[derive(Clone)]
 struct ShardSnapshot {
@@ -194,88 +210,62 @@ struct ShardSnapshot {
     states: Vec<Option<RouterState>>,
     /// In-flight items still in the shard's reorder buffer, in release
     /// order.
-    buffered: Vec<(u32, Event)>,
-    /// The shard's ingest counter at snapshot time, so a respawned shard
+    buffered: Vec<Item>,
+    /// The shard's ingest counter at snapshot time, so a rebuilt shard
     /// resumes its accounting instead of restarting from zero.
     events: u64,
 }
 
-/// A worker's answer to [`Cmd::Drain`] / [`Cmd::Snapshot`] /
-/// [`Cmd::Finish`].
+/// A shard's counters, as its worker last reported them — what the pool
+/// reads for worker-thread shards without a synchronous round trip.
+#[derive(Clone, Copy)]
+struct ShardReport {
+    /// The shard's engines' current summed logical memory.
+    memory: usize,
+    /// The shard's peak summed logical memory so far (sampled every 64
+    /// events plus at every batch and drain, like the measurement
+    /// harness).
+    peak: usize,
+    /// The shard's routing hot-path counters so far, over all engines.
+    stats: RunStats,
+    /// Sticky key-limit overflow across the shard's engines
+    /// ([`TrendEngine::key_overflow`]).
+    key_overflow: Option<u32>,
+    /// Events this shard has ingested into its engines so far.
+    events: u64,
+}
+
+/// A worker's answer to a [`Cmd::Control`].
 struct Reply {
     /// Results finalized since the previous drain, tagged with their
     /// query index.
     results: Vec<(usize, WindowResult)>,
-    /// The worker's engines' current summed logical memory.
-    memory: usize,
-    /// The worker's peak summed logical memory so far (sampled every 64
-    /// events plus at every batch and drain, like the measurement
-    /// harness).
-    peak: usize,
-    /// The worker's routing hot-path counters so far, over all engines.
-    stats: RunStats,
-    /// Sticky key-limit overflow across the worker's engines
-    /// ([`TrendEngine::key_overflow`]).
-    key_overflow: Option<u32>,
-    /// Events this shard has ingested into its engines so far.
-    shard_events: u64,
-    /// Engine + reorder-buffer state: in reply to [`Cmd::Snapshot`], and
-    /// attached to every [`Cmd::Drain`] reply when the pool journals for
-    /// [`FailurePolicy::Restart`] (the recovery baseline refresh).
+    /// The shard's counters after the command.
+    report: ShardReport,
+    /// Engine + reorder-buffer state, in reply to [`Control::Snapshot`].
     snapshot: Option<ShardSnapshot>,
-    /// Set when the worker body panicked: the supervisor wrapper caught
-    /// the unwind and reports the payload in-band instead of re-raising.
-    failure: Option<String>,
 }
 
-impl Reply {
-    /// The supervisor's in-band report of a dead worker body.
-    fn failed(message: String) -> Reply {
-        Reply {
-            results: Vec::new(),
-            memory: 0,
-            peak: 0,
-            stats: RunStats::default(),
-            key_overflow: None,
-            shard_events: 0,
-            snapshot: None,
-            failure: Some(message),
-        }
-    }
-}
+/// What a worker sends back: a [`Reply`], or — once, before it exits —
+/// the panic message of the shard it lost.
+type Answer = Result<Reply, String>;
 
 struct Worker {
     /// `None` once the pool has finished (dropping it closes the channel).
     tx: Option<SyncSender<Cmd>>,
-    rx: Receiver<Reply>,
+    rx: Receiver<Answer>,
     thread: Option<JoinHandle<()>>,
     /// Quarantined by [`FailurePolicy::Degrade`]: the shard is dead and
     /// stays dead; its groups reroute to the next live shard.
     quarantined: bool,
-    /// Mirrors of the worker's last report, so [`StreamingPool::memory_bytes`]
-    /// needs no synchronous round trip.
-    memory: usize,
-    peak: usize,
-    stats: RunStats,
-    key_overflow: Option<u32>,
-    shard_events: u64,
+    /// The worker's last report.
+    report: ShardReport,
 }
 
-/// A respawned shard that dies this many times is escalated to
-/// [`FailurePolicy::Fail`] — a deterministic crash would otherwise
-/// restart-loop forever.
+/// A worker that has restarted this many times under
+/// [`FailurePolicy::Restart`] gives up on its next panic — a
+/// deterministic crash would otherwise restart-loop forever.
 const MAX_RESTARTS: u32 = 8;
-
-/// One shard's recovery baseline under [`FailurePolicy::Restart`]: the
-/// state captured at the last drain/snapshot, plus the journal of every
-/// item delivered to the shard since. Rebuilding the baseline engines and
-/// replaying the journal reproduces the dead shard exactly — nothing was
-/// emitted since the baseline (results only leave a shard at drains), so
-/// recovery neither loses nor duplicates output.
-struct ShardBaseline {
-    snapshot: ShardSnapshot,
-    journal: Vec<Item>,
-}
 
 /// Backpressure bound, in batches: a worker that falls this many batches
 /// behind blocks ingestion instead of buffering without limit.
@@ -285,7 +275,7 @@ const CHANNEL_CAPACITY: usize = 16;
 enum Shards {
     /// The single shard, called directly on the caller's thread.
     Inline(Shard),
-    /// Supervised worker threads behind batched channels.
+    /// Worker threads behind batched channels.
     Threaded(Box<Threads>),
 }
 
@@ -462,7 +452,7 @@ impl StreamingPool {
     pub fn memory_bytes(&self) -> usize {
         match &self.shards {
             Shards::Inline(shard) => shard.memory(),
-            Shards::Threaded(t) => t.workers.iter().map(|w| w.memory).sum(),
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.report.memory).sum(),
         }
     }
 
@@ -474,7 +464,7 @@ impl StreamingPool {
     pub fn peak_bytes(&self) -> usize {
         match &self.shards {
             Shards::Inline(shard) => shard.peak,
-            Shards::Threaded(t) => t.workers.iter().map(|w| w.peak).sum(),
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.report.peak).sum(),
         }
     }
 
@@ -487,7 +477,7 @@ impl StreamingPool {
             Shards::Threaded(t) => {
                 let mut total = RunStats::default();
                 for w in &t.workers {
-                    total.merge(w.stats);
+                    total.merge(w.report.stats);
                 }
                 total
             }
@@ -499,7 +489,7 @@ impl StreamingPool {
     pub fn key_overflow(&self) -> Option<u32> {
         match &self.shards {
             Shards::Inline(shard) => shard.key_overflow(),
-            Shards::Threaded(t) => t.workers.iter().find_map(|w| w.key_overflow),
+            Shards::Threaded(t) => t.workers.iter().find_map(|w| w.report.key_overflow),
         }
     }
 
@@ -510,14 +500,15 @@ impl StreamingPool {
     pub fn shard_events(&self) -> Vec<u64> {
         match &self.shards {
             Shards::Inline(shard) => vec![shard.events],
-            Shards::Threaded(t) => t.workers.iter().map(|w| w.shard_events).collect(),
+            Shards::Threaded(t) => t.workers.iter().map(|w| w.report.events).collect(),
         }
     }
 
     /// The sticky terminal failure, if a shard worker died under
-    /// [`FailurePolicy::Fail`] (or a restart loop escalated). Once set,
-    /// the pool accepts no more events and emits nothing further. Always
-    /// `None` for an inline shard.
+    /// [`FailurePolicy::Fail`] (or gave up under
+    /// [`FailurePolicy::Restart`]). Once set, the pool accepts no more
+    /// events and emits nothing further. Always `None` for an inline
+    /// shard.
     pub fn failure(&self) -> Option<&WorkerFailure> {
         match &self.shards {
             Shards::Inline(_) => None,
@@ -584,7 +575,7 @@ impl StreamingPool {
     /// ([`FailurePolicy::Degrade`] after a quarantine) cannot checkpoint —
     /// part of its state is gone; the error is typed, never a partial
     /// snapshot. A worker dying *during* the snapshot under
-    /// [`FailurePolicy::Restart`] is recovered and the shard re-asked.
+    /// [`FailurePolicy::Restart`] recovers and answers it anyway.
     pub fn snapshot(&mut self) -> Result<PoolSnapshot, CheckpointError> {
         assert!(!self.finished, "streaming pool already finished");
         let shards = match &mut self.shards {
@@ -602,7 +593,7 @@ impl StreamingPool {
                     }
                 }
             }
-            buffered.extend(snap.buffered);
+            buffered.extend(snap.buffered.into_iter().map(|i| (i.query, i.event)));
         }
         let states = merged
             .into_iter()
@@ -864,23 +855,21 @@ fn build_engines(
         .collect()
 }
 
-/// The worker-thread half of a pool: transport, mirrors and supervision.
+/// The worker-thread half of a pool: batched transport, the workers'
+/// last reports, and what happens when a worker dies. Recovery under
+/// [`FailurePolicy::Restart`] runs inside each worker; the coordinator
+/// only sees a worker that is gone, and then quarantines its shard
+/// ([`FailurePolicy::Degrade`]) or fails the pool.
 struct Threads {
-    /// The pool's queries, for respawning shards and rerouting.
+    /// The pool's queries, for rerouting and merging results.
     queries: Vec<PoolQuery>,
     workers: Vec<Worker>,
     /// Per-shard staging buffers awaiting a batch send.
     stages: Vec<Vec<Item>>,
     batch_size: usize,
-    /// The configured per-shard slack, kept for respawning shards.
-    slack: Option<u64>,
     /// Recovery behavior when a shard worker dies.
     policy: FailurePolicy,
-    /// Per-shard baselines + journals ([`FailurePolicy::Restart`] only).
-    recovery: Option<Vec<ShardBaseline>>,
-    /// Restarts performed per shard, for the [`MAX_RESTARTS`] escalation.
-    restarts: Vec<u32>,
-    /// The sticky terminal failure ([`FailurePolicy::Fail`] or escalation).
+    /// The sticky terminal failure.
     failed: Option<WorkerFailure>,
     /// Items staged per shard since pool start (delivered or in flight);
     /// frozen at 0 when a shard is quarantined.
@@ -895,22 +884,26 @@ impl Threads {
     /// Spawn one worker per shard, each owning its pre-built engines.
     fn spawn(queries: &[PoolQuery], engines: Vec<Vec<Option<Engine>>>, config: PoolConfig) -> Self {
         let shards = engines.len();
-        let journal = config.policy == FailurePolicy::Restart;
-        let mut recovery = journal.then(Vec::new);
         let workers = engines
             .into_iter()
             .enumerate()
             .map(|(index, engines)| {
                 let shard = Shard::new(engines, config.slack, 0, true);
-                // Under Restart the starting layout is also the first
-                // recovery baseline of every shard.
-                if let Some(recovery) = &mut recovery {
-                    recovery.push(ShardBaseline {
-                        snapshot: shard.snapshot(),
-                        journal: Vec::new(),
-                    });
-                }
-                spawn_worker(index, shard, journal)
+                // Under Restart the starting layout is a worker's first
+                // baseline.
+                let recovery = (config.policy == FailurePolicy::Restart).then(|| Recovery {
+                    queries: queries.to_vec(),
+                    shards,
+                    slack: config.slack,
+                    baseline: shard.snapshot(),
+                    journal: Vec::new(),
+                    restarts: 0,
+                });
+                spawn_worker(Supervisor {
+                    index,
+                    shard,
+                    recovery,
+                })
             })
             .collect();
         Threads {
@@ -918,10 +911,7 @@ impl Threads {
             workers,
             stages: (0..shards).map(|_| Vec::new()).collect(),
             batch_size: config.batch_size.max(1),
-            slack: config.slack,
             policy: config.policy,
-            recovery,
-            restarts: vec![0; shards],
             failed: None,
             delivered: vec![0; shards],
             routed_items: 0,
@@ -935,18 +925,15 @@ impl Threads {
         self.snapshot_guard()?;
         self.flush_stages();
         self.snapshot_guard()?;
-        let mut snaps = Vec::with_capacity(self.workers.len());
-        for (s, mut reply) in self.broadcast(Cmd::Snapshot) {
-            let snap = reply
-                .snapshot
-                .take()
-                .expect("snapshot round trip returns shard state");
-            // This full-state reply doubles as a fresh recovery baseline.
-            if self.recovery.is_some() {
-                self.store_baseline(s, snap.clone());
-            }
-            snaps.push(snap);
-        }
+        let snaps = self
+            .broadcast(Control::Snapshot)
+            .into_iter()
+            .map(|reply| {
+                reply
+                    .snapshot
+                    .expect("snapshot round trip returns shard state")
+            })
+            .collect();
         self.snapshot_guard()?;
         Ok(snaps)
     }
@@ -966,106 +953,65 @@ impl Threads {
         Ok(())
     }
 
-    /// Refresh a shard's recovery baseline from a full-state reply and
-    /// forget the journal it supersedes. No-op unless journaling
-    /// ([`FailurePolicy::Restart`]).
-    fn store_baseline(&mut self, shard: usize, snapshot: ShardSnapshot) {
-        if let Some(recovery) = &mut self.recovery {
-            recovery[shard] = ShardBaseline {
-                snapshot,
-                journal: Vec::new(),
-            };
+    /// Send one control command to a shard. `false`: the shard is not
+    /// participating (quarantined, dead, or the pool failed).
+    fn send_control(&mut self, shard: usize, control: Control) -> bool {
+        if self.failed.is_some() {
+            return false;
         }
-    }
-
-    /// Copy a live reply's counters into the coordinator-side mirrors.
-    fn absorb_mirrors(&mut self, shard: usize, reply: &Reply) {
-        let w = &mut self.workers[shard];
-        w.memory = reply.memory;
-        w.peak = w.peak.max(reply.peak);
-        w.stats = reply.stats;
-        w.key_overflow = reply.key_overflow;
-        w.shard_events = reply.shard_events;
-    }
-
-    /// Send one control command (`Drain`/`Snapshot`/`Finish`) to a shard,
-    /// recovering per policy if its channel is dead. `false`: the shard is
-    /// not participating (quarantined, or the pool failed).
-    fn send_control(&mut self, shard: usize, cmd: &Cmd) -> bool {
-        loop {
-            if self.failed.is_some() {
-                return false;
-            }
-            let Some(tx) = self.workers[shard].tx.as_ref() else {
-                return false;
-            };
-            if tx.send(control_clone(cmd)).is_ok() {
-                return true;
-            }
-            self.recover(shard, None);
+        let Some(tx) = self.workers[shard].tx.as_ref() else {
+            return false;
+        };
+        if tx.send(Cmd::Control(control)).is_ok() {
+            return true;
         }
+        self.lost(shard, None);
+        false
     }
 
-    /// Receive a shard's reply to `cmd`, recovering per policy when the
-    /// worker died instead: under [`FailurePolicy::Restart`] the respawned
-    /// shard is re-sent `cmd` and the receive retried. `None`: the shard
-    /// dropped out of this round trip (quarantined or pool failed).
-    fn recv_reply(&mut self, shard: usize, cmd: &Cmd) -> Option<Reply> {
-        loop {
-            if self.failed.is_some() || self.workers[shard].tx.is_none() {
-                return None;
+    /// Receive a shard's reply to a control command. `None`: the shard
+    /// dropped out of this round trip (its worker died, or the pool
+    /// failed).
+    fn recv_reply(&mut self, shard: usize) -> Option<Reply> {
+        if self.failed.is_some() || self.workers[shard].tx.is_none() {
+            return None;
+        }
+        match self.workers[shard].rx.recv() {
+            Ok(Ok(reply)) => Some(reply),
+            Ok(Err(message)) => {
+                self.lost(shard, Some(message));
+                None
             }
-            match self.workers[shard].rx.recv() {
-                Ok(reply) => match reply.failure {
-                    None => return Some(reply),
-                    Some(message) => self.recover(shard, Some(message)),
-                },
-                Err(_) => self.recover(shard, None),
-            }
-            // A restarted shard has replayed its journal but not seen the
-            // in-flight command yet — re-issue it and listen again.
-            if self.workers[shard].tx.is_some() && !self.send_control(shard, cmd) {
-                return None;
+            Err(_) => {
+                self.lost(shard, None);
+                None
             }
         }
     }
 
-    /// The worker on `shard` is dead (send failed, receive disconnected,
-    /// or an in-band failure reply arrived — passed as `got`). Extract the
-    /// failure and recover per policy: quarantine, respawn-and-replay, or
-    /// fail the pool terminally.
-    fn recover(&mut self, shard: usize, got: Option<String>) {
+    /// The worker on `shard` is gone (send failed, receive disconnected,
+    /// or an in-band failure reply arrived — passed as `got`): quarantine
+    /// its shard under [`FailurePolicy::Degrade`], fail the pool
+    /// otherwise (under [`FailurePolicy::Restart`] the worker has already
+    /// used up its restarts).
+    fn lost(&mut self, shard: usize, got: Option<String>) {
         let failure = self.failure_of(shard, got);
         match self.policy {
-            FailurePolicy::Fail => self.fail_all(failure),
             FailurePolicy::Degrade => self.quarantine(shard),
-            FailurePolicy::Restart => {
-                if self.restarts[shard] >= MAX_RESTARTS {
-                    let failure = WorkerFailure {
-                        shard,
-                        message: format!(
-                            "giving up after {MAX_RESTARTS} restarts: {}",
-                            failure.message
-                        ),
-                    };
-                    self.fail_all(failure);
-                } else {
-                    self.restart_shard(shard);
-                }
-            }
+            FailurePolicy::Fail | FailurePolicy::Restart => self.fail_all(failure),
         }
     }
 
     /// Reap a dead worker and name its failure: close our end, skim its
-    /// reply channel for the supervisor's in-band panic report (it races
-    /// the channel teardown), and join the thread.
+    /// reply channel for the in-band failure report (it races the channel
+    /// teardown), and join the thread.
     fn failure_of(&mut self, shard: usize, got: Option<String>) -> WorkerFailure {
         let w = &mut self.workers[shard];
         w.tx = None;
         let mut message = got;
         while message.is_none() {
             match w.rx.recv_timeout(std::time::Duration::from_secs(10)) {
-                Ok(reply) => message = reply.failure, // skim data replies
+                Ok(answer) => message = answer.err(), // skim data replies
                 Err(_) => break,
             }
         }
@@ -1084,11 +1030,6 @@ impl Threads {
         self.close();
         for stage in &mut self.stages {
             stage.clear();
-        }
-        if let Some(recovery) = &mut self.recovery {
-            for b in recovery.iter_mut() {
-                b.journal.clear();
-            }
         }
     }
 
@@ -1110,69 +1051,11 @@ impl Threads {
     fn quarantine(&mut self, shard: usize) {
         let w = &mut self.workers[shard];
         w.quarantined = true;
-        w.memory = 0;
-        w.shard_events = 0;
+        w.report.memory = 0;
+        w.report.events = 0;
         self.dropped += self.delivered[shard];
         self.delivered[shard] = 0;
         self.stages[shard].clear();
-    }
-
-    /// [`FailurePolicy::Restart`]: rebuild the shard's engines from its
-    /// recovery baseline, respawn the worker, and redeliver the baseline's
-    /// in-flight items plus the journal of everything delivered since.
-    /// Emission-safe: nothing has been emitted since the baseline (results
-    /// only leave at drains, and every drain refreshes the baseline).
-    fn restart_shard(&mut self, shard: usize) {
-        self.restarts[shard] += 1;
-        let shards = self.workers.len();
-        let baseline = &self.recovery.as_ref().expect("Restart keeps baselines")[shard];
-        let states = baseline.snapshot.states.clone();
-        let engines = match build_engines(&self.queries, shards, shard, states) {
-            Ok(engines) => engines,
-            Err(e) => {
-                // The baseline itself cannot be revived — escalate.
-                let failure = WorkerFailure {
-                    shard,
-                    message: format!("recovery baseline is unusable: {e}"),
-                };
-                self.fail_all(failure);
-                return;
-            }
-        };
-        let revived = Shard::new(engines, self.slack, baseline.snapshot.events, true);
-        self.workers[shard] = spawn_worker(shard, revived, true);
-        // Redeliver: first the baseline's reorder-buffered items (their
-        // release order is the order the checkpoint restage path uses),
-        // then the journal, both through the normal batch transport.
-        let mut replay: Vec<Item> = Vec::with_capacity(baseline.journal.len());
-        for (query, event) in baseline.snapshot.buffered.clone() {
-            let rt = &self.queries[query as usize].1;
-            let key_hash = if rt.query.group_prefix > 0 {
-                match rt.route_hashes(&event) {
-                    Some((_, key_hash)) => Some(key_hash),
-                    None => continue,
-                }
-            } else {
-                rt.key_hash(&event)
-            };
-            replay.push(Item {
-                event,
-                query,
-                key_hash,
-            });
-        }
-        replay.extend(baseline.journal.iter().cloned());
-        for chunk in replay.chunks(self.batch_size) {
-            let Some(tx) = self.workers[shard].tx.as_ref() else {
-                return;
-            };
-            if tx.send(Cmd::Batch(chunk.to_vec())).is_err() {
-                // Died again during replay — recurse; MAX_RESTARTS bounds
-                // the depth.
-                self.recover(shard, None);
-                return;
-            }
-        }
     }
 
     /// Where an item bound for `shard` actually goes: the shard itself
@@ -1193,8 +1076,8 @@ impl Threads {
     }
 
     /// Append one item to a shard's staging buffer (rerouted past
-    /// quarantined shards, journaled under [`FailurePolicy::Restart`]),
-    /// shipping the buffer as a batch once it reaches the configured size.
+    /// quarantined shards), shipping the buffer as a batch once it
+    /// reaches the configured size.
     fn stage(&mut self, shard: usize, item: Item) {
         self.routed_items += 1;
         let Some(shard) = self.live_target(shard, item.query) else {
@@ -1204,9 +1087,6 @@ impl Threads {
             return;
         };
         self.delivered[shard] += 1;
-        if let Some(recovery) = &mut self.recovery {
-            recovery[shard].journal.push(item.clone());
-        }
         let stage = &mut self.stages[shard];
         stage.push(item);
         if stage.len() >= self.batch_size {
@@ -1215,28 +1095,20 @@ impl Threads {
     }
 
     /// Send a shard's staged events as one [`Cmd::Batch`]. A dead channel
-    /// triggers policy recovery; the batch itself is never re-sent here —
-    /// under Restart the journal replay already covers it, under Degrade
-    /// it is part of the quarantined shard's counted losses.
+    /// means the worker is gone and the batch with it: under Degrade it is
+    /// part of the quarantined shard's counted losses, otherwise the pool
+    /// fails.
     fn ship(&mut self, shard: usize) {
         if self.stages[shard].is_empty() {
             return;
         }
         let cap = self.batch_size.min(4096);
         let batch = std::mem::replace(&mut self.stages[shard], Vec::with_capacity(cap));
-        #[cfg(feature = "faults")]
-        if cogra_faults::fired(&format!("pool/ship/{shard}")) {
-            // Simulated transport failure: drop our end of the channel (the
-            // worker exits cleanly when it drains) and run recovery.
-            self.workers[shard].tx = None;
-            self.recover(shard, Some(format!("injected fault at pool/ship/{shard}")));
-            return;
-        }
         let Some(tx) = self.workers[shard].tx.as_ref() else {
             return; // quarantined or failed since staging
         };
         if tx.send(Cmd::Batch(batch)).is_err() {
-            self.recover(shard, None);
+            self.lost(shard, None);
         }
     }
 
@@ -1255,7 +1127,7 @@ impl Threads {
             return;
         }
         self.flush_stages();
-        self.round_trip(Cmd::Drain(safe), out);
+        self.round_trip(Control::Drain(safe), out);
     }
 
     /// Flush staged batches, close every shard's windows, emit the merged
@@ -1263,25 +1135,24 @@ impl Threads {
     fn finish(&mut self, out: &mut dyn FnMut(usize, WindowResult)) {
         if self.failed.is_none() {
             self.flush_stages();
-            self.round_trip(Cmd::Finish, out);
+            self.round_trip(Control::Finish, out);
         }
         self.close();
     }
 
     /// Broadcast one command to every live shard and collect the replies,
-    /// refreshing the mirrors. Command fan-out happens before any reply
-    /// collection so the shards work concurrently. Worker deaths along
-    /// the way are recovered per policy; a shard that drops out of the
-    /// trip (quarantined, or the pool failed) has no reply.
-    fn broadcast(&mut self, cmd: Cmd) -> Vec<(usize, Reply)> {
+    /// keeping each worker's report. Command fan-out happens before any
+    /// reply collection so the shards work concurrently. A shard whose
+    /// worker dies along the way has no reply.
+    fn broadcast(&mut self, control: Control) -> Vec<Reply> {
         let sent: Vec<bool> = (0..self.workers.len())
-            .map(|s| self.send_control(s, &cmd))
+            .map(|s| self.send_control(s, control))
             .collect();
         let mut replies = Vec::with_capacity(sent.len());
         for (s, &ok) in sent.iter().enumerate() {
-            if let Some(reply) = ok.then(|| self.recv_reply(s, &cmd)).flatten() {
-                self.absorb_mirrors(s, &reply);
-                replies.push((s, reply));
+            if let Some(reply) = ok.then(|| self.recv_reply(s)).flatten() {
+                self.workers[s].report = reply.report;
+                replies.push(reply);
             }
         }
         replies
@@ -1290,14 +1161,9 @@ impl Threads {
     /// Broadcast a drain or finish and merge the replies per query. A
     /// pool that fails terminally mid-trip emits nothing (no partial
     /// result set masquerading as a complete one).
-    fn round_trip(&mut self, cmd: Cmd, out: &mut dyn FnMut(usize, WindowResult)) {
+    fn round_trip(&mut self, control: Control, out: &mut dyn FnMut(usize, WindowResult)) {
         let mut merged: Vec<Vec<WindowResult>> = vec![Vec::new(); self.queries.len()];
-        for (s, reply) in self.broadcast(cmd) {
-            if let Some(snap) = reply.snapshot {
-                // Journaling drain: the attached state is the shard's new
-                // recovery baseline and retires its journal.
-                self.store_baseline(s, snap);
-            }
+        for reply in self.broadcast(control) {
             for (q, r) in reply.results {
                 merged[q].push(r);
             }
@@ -1323,37 +1189,20 @@ impl Drop for Threads {
     }
 }
 
-/// Clone a broadcastable control command ([`Cmd::Batch`] is routed, not
-/// broadcast, and never comes through here).
-fn control_clone(cmd: &Cmd) -> Cmd {
-    match cmd {
-        Cmd::Drain(wm) => Cmd::Drain(*wm),
-        Cmd::Snapshot => Cmd::Snapshot,
-        Cmd::Finish => Cmd::Finish,
-        Cmd::Batch(..) => unreachable!("batches are routed, not broadcast"),
-    }
-}
-
-/// Spawn a worker thread owning `shard` — the unit both pool start-up
-/// and [`FailurePolicy::Restart`] respawns go through. The mirrors start
-/// at the shard's footprint so a freshly restored pool reports it before
-/// any drain.
-fn spawn_worker(index: usize, shard: Shard, attach_snapshots: bool) -> Worker {
+/// Spawn a worker thread running `supervisor`. The pool's copy of its
+/// report starts at the shard's footprint, so a freshly restored pool
+/// reports it before any drain.
+fn spawn_worker(supervisor: Supervisor) -> Worker {
     let (cmd_tx, cmd_rx) = std::sync::mpsc::sync_channel(CHANNEL_CAPACITY);
     let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    let (memory, stats, shard_events) = (shard.peak, shard.stats(), shard.events);
-    let thread =
-        std::thread::spawn(move || shard_worker(index, shard, attach_snapshots, cmd_rx, reply_tx));
+    let report = supervisor.shard.report();
+    let thread = std::thread::spawn(move || shard_worker(supervisor, cmd_rx, reply_tx));
     Worker {
         tx: Some(cmd_tx),
         rx: reply_rx,
         thread: Some(thread),
         quarantined: false,
-        memory,
-        peak: memory,
-        stats,
-        key_overflow: None,
-        shard_events,
+        report,
     }
 }
 
@@ -1399,7 +1248,7 @@ impl Shard {
         shard
     }
 
-    /// Serialize the shard for a pool snapshot or recovery baseline:
+    /// Serialize the shard for a pool snapshot or a recovery baseline:
     /// every hosted engine's state, the reorder buffer's in-flight items
     /// in release order, and the ingest counter.
     fn snapshot(&self) -> ShardSnapshot {
@@ -1417,7 +1266,7 @@ impl Shard {
             Some(buffer) => buffer
                 .ordered()
                 .into_iter()
-                .map(|(_, item)| (item.query, item.event.clone()))
+                .map(|(_, item)| item.clone())
                 .collect(),
             None => Vec::new(),
         };
@@ -1497,7 +1346,7 @@ impl Shard {
     /// Ingest one transported batch, sampling the peak at the batch
     /// boundary besides the every-64-events stride: a burst shorter than
     /// the stride would otherwise stay invisible until the next drain.
-    fn on_batch(&mut self, items: Vec<Item>) {
+    fn on_batch(&mut self, items: impl IntoIterator<Item = Item>) {
         for item in items {
             self.push(item);
         }
@@ -1558,41 +1407,177 @@ impl Shard {
         self.peak = self.peak.max(hint);
     }
 
-    /// This shard's report to the coordinator.
-    fn reply(&self, results: Vec<(usize, WindowResult)>, snapshot: Option<ShardSnapshot>) -> Reply {
-        Reply {
-            results,
+    /// This shard's counters, as its worker reports them.
+    fn report(&self) -> ShardReport {
+        ShardReport {
             memory: self.memory(),
             peak: self.peak,
             stats: self.stats(),
             key_overflow: self.key_overflow(),
-            shard_events: self.events,
+            events: self.events,
+        }
+    }
+
+    /// Answer one round trip as worker `index`.
+    fn control(&mut self, index: usize, control: Control) -> Reply {
+        let mut results = Vec::new();
+        let mut snapshot = None;
+        match control {
+            Control::Drain(wm) => {
+                failpoint("drain", index);
+                self.advance_to(wm);
+                self.sample_peak();
+                self.drain(&mut |q, r| results.push((q, r)));
+            }
+            Control::Snapshot => {
+                failpoint("snapshot", index);
+                self.sample_peak();
+                snapshot = Some(self.snapshot());
+            }
+            Control::Finish => {
+                failpoint("finish", index);
+                self.finish(&mut |q, r| results.push((q, r)));
+            }
+        }
+        Reply {
+            results,
+            report: self.report(),
             snapshot,
-            failure: None,
         }
     }
 }
 
-/// The supervisor wrapper around a shard's worker loop: a panic anywhere
-/// in the body is caught and reported in-band as a [`Reply::failed`]
-/// instead of being re-raised into the coordinator — the coordinator
-/// recovers per its [`FailurePolicy`]. The shard's state is discarded on
-/// unwind (a replacement is rebuilt from the recovery baseline), so
-/// `AssertUnwindSafe` is sound here.
-fn shard_worker(
+/// With the `faults` feature, the per-shard failpoint
+/// `worker/{kind}/{index}` (`kind`: `batch`, `drain`, `snapshot` or
+/// `finish`) panics the worker on schedule — each shard's command stream
+/// is deterministic given the routing, so the hit counters are too.
+/// Without the feature this is a no-op.
+fn failpoint(kind: &str, index: usize) {
+    #[cfg(feature = "faults")]
+    cogra_faults::maybe_panic(&format!("worker/{kind}/{index}"));
+    #[cfg(not(feature = "faults"))]
+    let _ = (kind, index);
+}
+
+/// A worker's own [`FailurePolicy::Restart`] state: what it needs to
+/// rebuild its shard after a panic.
+struct Recovery {
+    /// The pool's queries and shard count, to rebuild the engines.
+    queries: Vec<PoolQuery>,
+    shards: usize,
+    slack: Option<u64>,
+    /// The shard as of its last drain or snapshot (its starting layout
+    /// before the first).
+    baseline: ShardSnapshot,
+    /// Every item received since the baseline, in arrival order.
+    journal: Vec<Item>,
+    /// Restarts so far, for the [`MAX_RESTARTS`] escalation.
+    restarts: u32,
+}
+
+impl Recovery {
+    /// Rebuild shard `index` as it stood before a panic: the baseline's
+    /// engines and ingest counter, then the baseline's buffered items and
+    /// the journal fed back in order. Exact and emission-safe: results
+    /// only leave a shard at drains, and every drain refreshes the
+    /// baseline, so nothing is lost or emitted twice.
+    fn rebuild(&self, index: usize) -> Shard {
+        let states = self.baseline.states.clone();
+        let engines = build_engines(&self.queries, self.shards, index, states)
+            .expect("a baseline the shard serialized itself rebuilds");
+        let mut shard = Shard::new(engines, self.slack, self.baseline.events, true);
+        shard.on_batch(self.baseline.buffered.iter().chain(&self.journal).cloned());
+        shard
+    }
+}
+
+/// A worker thread's shard under its panic guard.
+struct Supervisor {
     index: usize,
     shard: Shard,
-    attach_snapshots: bool,
-    rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
-) {
-    let failure_tx = tx.clone();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        shard_loop(index, shard, attach_snapshots, rx, tx)
-    }));
-    if let Err(payload) = result {
-        let _ = failure_tx.send(Reply::failed(panic_message(payload.as_ref())));
+    /// `Some` under [`FailurePolicy::Restart`].
+    recovery: Option<Recovery>,
+}
+
+impl Supervisor {
+    /// Run one command. `Ok(None)`: a batch, which has no reply. `Err`:
+    /// the shard is lost; the worker reports the message and exits.
+    fn run(&mut self, cmd: Cmd) -> Result<Option<Reply>, String> {
+        let control = match cmd {
+            Cmd::Batch(items) => {
+                if let Some(recovery) = &mut self.recovery {
+                    recovery.journal.extend_from_slice(&items);
+                }
+                let (shard, index) = (&mut self.shard, self.index);
+                let ran = guarded(|| {
+                    shard.on_batch(items);
+                    // Fire *after* the batch mutated the engines: recovery
+                    // must discard the partial work, not resume over it.
+                    failpoint("batch", index);
+                });
+                if let Err(message) = ran {
+                    // The rebuilt shard has replayed this batch from the
+                    // journal; there is nothing to re-run.
+                    self.restart(message)?;
+                }
+                return Ok(None);
+            }
+            Cmd::Control(control) => control,
+        };
+        loop {
+            let (shard, recovery, index) = (&mut self.shard, &mut self.recovery, self.index);
+            let ran = guarded(|| {
+                let reply = shard.control(index, control);
+                // A drain or snapshot is the new baseline: nothing the
+                // journal holds is needed to rebuild past it.
+                if let Some(recovery) = recovery.as_mut().filter(|_| control != Control::Finish) {
+                    recovery.baseline = match &reply.snapshot {
+                        Some(snapshot) => snapshot.clone(),
+                        None => shard.snapshot(),
+                    };
+                    recovery.journal.clear();
+                }
+                reply
+            });
+            match ran {
+                Ok(reply) => return Ok(Some(reply)),
+                Err(message) => self.restart(message)?,
+            }
+        }
     }
+
+    /// A command panicked with `message`. Under Restart, rebuild the
+    /// shard; otherwise, or once [`MAX_RESTARTS`] are used up, return the
+    /// failure the worker reports.
+    fn restart(&mut self, mut message: String) -> Result<(), String> {
+        let Some(recovery) = &mut self.recovery else {
+            return Err(message);
+        };
+        loop {
+            if recovery.restarts >= MAX_RESTARTS {
+                return Err(format!(
+                    "giving up after {MAX_RESTARTS} restarts: {message}"
+                ));
+            }
+            recovery.restarts += 1;
+            match guarded(|| recovery.rebuild(self.index)) {
+                Ok(mut shard) => {
+                    shard.peak = shard.peak.max(self.shard.peak);
+                    self.shard = shard;
+                    return Ok(());
+                }
+                // The rebuild itself panicked: that counts as a restart too.
+                Err(panic) => message = panic,
+            }
+        }
+    }
+}
+
+/// Run `f`, catching a panic as its message. A shard a panic interrupts
+/// is rebuilt or abandoned, never used again, so `AssertUnwindSafe` is
+/// sound here.
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|p| panic_message(p.as_ref()))
 }
 
 /// Render a caught panic payload — the `panic!` message when there is
@@ -1607,57 +1592,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One shard's worker loop, replying to drain/snapshot/finish round
-/// trips. With the `faults` feature, per-shard failpoints
-/// (`worker/batch/{i}`, `worker/drain/{i}`, `worker/snapshot/{i}`,
-/// `worker/finish/{i}`) panic the loop on schedule — each shard's command
-/// stream is deterministic given the routing, so the hit counters are
-/// too.
-fn shard_loop(
-    index: usize,
-    mut shard: Shard,
-    attach_snapshots: bool,
-    rx: Receiver<Cmd>,
-    tx: Sender<Reply>,
-) {
-    #[cfg(not(feature = "faults"))]
-    let _ = index;
+/// A worker thread's loop: run every command under the supervisor and
+/// answer every round trip. A lost shard is reported in-band, as an
+/// `Err` answer instead of a panic re-raised into the coordinator, and
+/// the worker exits.
+fn shard_worker(mut supervisor: Supervisor, rx: Receiver<Cmd>, tx: Sender<Answer>) {
     for cmd in rx {
-        let reply = match cmd {
-            Cmd::Batch(items) => {
-                shard.on_batch(items);
-                // Fire *after* the batch mutated the engines: recovery
-                // must discard the partial work, not resume over it.
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/batch/{index}"));
-                continue;
-            }
-            Cmd::Drain(wm) => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/drain/{index}"));
-                shard.advance_to(wm);
-                shard.sample_peak();
-                let mut results = Vec::new();
-                shard.drain(&mut |q, r| results.push((q, r)));
-                shard.reply(results, attach_snapshots.then(|| shard.snapshot()))
-            }
-            Cmd::Snapshot => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/snapshot/{index}"));
-                shard.sample_peak();
-                shard.reply(Vec::new(), Some(shard.snapshot()))
-            }
-            Cmd::Finish => {
-                #[cfg(feature = "faults")]
-                cogra_faults::maybe_panic(&format!("worker/finish/{index}"));
-                let mut results = Vec::new();
-                shard.finish(&mut |q, r| results.push((q, r)));
-                let _ = tx.send(shard.reply(results, None));
+        let finish = matches!(cmd, Cmd::Control(Control::Finish));
+        let reply = match supervisor.run(cmd) {
+            Ok(None) => continue,
+            Ok(Some(reply)) => reply,
+            Err(message) => {
+                let _ = tx.send(Err(message));
                 return;
             }
         };
-        if tx.send(reply).is_err() {
-            return; // coordinator dropped mid-round-trip
+        if tx.send(Ok(reply)).is_err() || finish {
+            return; // finished, or the coordinator dropped mid-round-trip
         }
     }
 }
@@ -1922,6 +1873,87 @@ mod tests {
             "the 7-group stream spreads across shards: {per_shard:?}"
         );
         assert!(pool.key_overflow().is_none(), "no limit configured");
+    }
+
+    /// A shard snapshot as bytes, for equality: states, buffered items
+    /// (with their query and key hash) and the ingest counter.
+    fn snapshot_bytes(snap: &ShardSnapshot) -> Vec<u8> {
+        let mut enc = cogra_checkpoint::Enc::new();
+        for state in &snap.states {
+            enc.bool(state.is_some());
+            if let Some(state) = state {
+                state.save(&mut enc);
+            }
+        }
+        enc.usize(snap.buffered.len());
+        for item in &snap.buffered {
+            enc.u32(item.query);
+            enc.opt_u64(item.key_hash);
+            item.event.save(&mut enc);
+        }
+        enc.u64(snap.events);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn rebuild_from_baseline_and_journal_reproduces_the_shard() {
+        // What a Restart worker does after a panic, without the `faults`
+        // feature: rebuild from the last baseline plus the journal of the
+        // items received since, and continue as if nothing happened.
+        let (rt, ordered) = setup(160);
+        let mut disordered = Vec::with_capacity(ordered.len());
+        for chunk in ordered.chunks(5) {
+            disordered.extend(chunk.iter().rev().cloned());
+        }
+        let items: Vec<Item> = disordered
+            .iter()
+            .map(|e| Item {
+                event: e.clone(),
+                query: 0,
+                key_hash: rt.key_hash(e),
+            })
+            .collect();
+        let (head, tail) = items.split_at(73);
+        let queries: Vec<PoolQuery> = vec![(EngineKind::Cogra, Arc::clone(&rt))];
+        let slack = Some(5);
+        let engines = build_engines(&queries, 2, 0, vec![None]).unwrap();
+        let mut shard = Shard::new(engines, slack, 0, true);
+        shard.on_batch(head.iter().cloned());
+        let mut drained = Vec::new();
+        shard.advance_to(Timestamp(40));
+        shard.drain(&mut |q, r| drained.push((q, r)));
+        assert!(!drained.is_empty(), "the baseline follows a real drain");
+        let mut recovery = Recovery {
+            queries,
+            shards: 2,
+            slack,
+            baseline: shard.snapshot(),
+            journal: Vec::new(),
+            restarts: 0,
+        };
+        assert!(
+            !recovery.baseline.buffered.is_empty(),
+            "the baseline holds reorder-buffered items"
+        );
+        recovery.journal.extend_from_slice(tail);
+        shard.on_batch(tail.iter().cloned());
+
+        let mut rebuilt = recovery.rebuild(0);
+        assert_eq!(
+            snapshot_bytes(&rebuilt.snapshot()),
+            snapshot_bytes(&shard.snapshot())
+        );
+        assert_eq!(rebuilt.events, shard.events);
+        let later = |shard: &mut Shard| {
+            let mut out = Vec::new();
+            shard.advance_to(Timestamp(120));
+            shard.drain(&mut |q, r| out.push((q, r)));
+            shard.finish(&mut |q, r| out.push((q, r)));
+            out
+        };
+        let expected = later(&mut shard);
+        assert!(!expected.is_empty());
+        assert_eq!(later(&mut rebuilt), expected);
     }
 
     #[test]

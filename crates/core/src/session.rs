@@ -615,13 +615,14 @@ impl SessionBuilder {
     }
 
     /// What a `.workers(n > 1)` session does when a shard worker panics
-    /// (default [`FailurePolicy::Fail`]). [`FailurePolicy::Restart`]
-    /// respawns the shard from its last in-memory snapshot and replays
-    /// the events staged since, so output stays byte-identical to an
-    /// undisturbed run; [`FailurePolicy::Degrade`] quarantines the shard
-    /// and keeps serving the remaining keys, counting what the dead
-    /// shard had absorbed as [`Session::dropped_events`]. An inline
-    /// shard ignores the policy — there is no worker to supervise.
+    /// (default [`FailurePolicy::Fail`]). Under [`FailurePolicy::Restart`]
+    /// the worker rebuilds its shard from its last drain or snapshot and
+    /// replays the items it received since, so output stays
+    /// byte-identical to an undisturbed run; [`FailurePolicy::Degrade`]
+    /// quarantines the shard and keeps serving the remaining keys,
+    /// counting what the dead shard had absorbed as
+    /// [`Session::dropped_events`]. An inline shard ignores the policy —
+    /// there is no worker to supervise.
     pub fn on_worker_failure(mut self, policy: FailurePolicy) -> SessionBuilder {
         self.policy = policy;
         self
@@ -770,6 +771,11 @@ impl SessionBuilder {
         let bytes = r.expect("config")?;
         let mut dec = Dec::new(&bytes);
         let n_queries = dec.usize()?;
+        if n_queries == 0 {
+            return Err(CheckpointError::Corrupt(
+                "snapshot has no queries".to_string(),
+            ));
+        }
         let mut texts = Vec::with_capacity(n_queries.min(1 << 16));
         let mut kinds = Vec::with_capacity(n_queries.min(1 << 16));
         let parse_kind = |name: &str| name.parse::<EngineKind>().map_err(CheckpointError::Corrupt);
@@ -894,6 +900,24 @@ impl SessionBuilder {
             if let Some(query) = query.filter(|&q| q as usize >= n_physical) {
                 return Err(CheckpointError::Corrupt(format!(
                     "buffered item references physical run {query} of {n_physical}"
+                )));
+            }
+            // Routing indexes by type id and attribute position: an event
+            // that does not fit `registry` would panic there.
+            if event.type_id.index() >= registry.len() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "buffered event has type id {}, the registry defines {} types",
+                    event.type_id.0,
+                    registry.len()
+                )));
+            }
+            let schema = registry.schema(event.type_id);
+            if event.attrs.len() != schema.arity() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "buffered {} event has {} attributes, its schema has {}",
+                    schema.name(),
+                    event.attrs.len(),
+                    schema.arity()
                 )));
             }
             pool.restage(query, event);

@@ -10,8 +10,9 @@
 //!
 //! * **Restart ≡ no-fault run** — a shard worker killed at any
 //!   failpoint (batch / drain / finish / snapshot, any shard, any hit
-//!   count) under `FailurePolicy::Restart` is respawned from its last
-//!   drain baseline + journal, and the session's emitted results are
+//!   count) under `FailurePolicy::Restart` rebuilds its own shard from
+//!   its last drain or snapshot baseline + the journal of items it
+//!   received since, and the session's emitted results are
 //!   **byte-identical** to an uninterrupted run (stats/peak are
 //!   explicitly NOT part of the contract — replay re-probes).
 //! * **Degrade conserves the event accounting** — after a quarantine,
@@ -270,9 +271,9 @@ proptest! {
     }
 }
 
-/// A worker killed *during* `SNAPSHOT` under Restart is respawned and
-/// re-asked: the checkpoint still completes, and the snapshot resumes to
-/// the same rows as one taken with no fault at the same point.
+/// A worker killed *during* `SNAPSHOT` under Restart rebuilds its shard
+/// and answers anyway: the checkpoint still completes, and the snapshot
+/// resumes to the same rows as one taken with no fault at the same point.
 #[test]
 fn snapshot_interrupted_by_a_worker_death_is_retried_under_restart() {
     let _g = guard();
@@ -486,7 +487,8 @@ fn degraded_session_refuses_to_checkpoint() {
 }
 
 /// A shard that dies on *every* delivery cannot be restarted forever:
-/// the supervisor escalates to a sticky failure naming the restart cap.
+/// the worker gives up and the pool fails with a sticky failure naming
+/// the restart cap.
 #[test]
 fn restart_escalates_after_max_restarts() {
     let _g = guard();

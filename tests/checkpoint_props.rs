@@ -23,9 +23,11 @@
 //! Every test body runs under a watchdog so a wedged shard pool or a
 //! hung server fails fast instead of stalling CI.
 
+use cogra::events::TypeId;
 use cogra::prelude::*;
 use cogra::workloads::{churn, rideshare, skew, stock, transport};
 use cogra::workloads::{ChurnConfig, RideshareConfig, SkewConfig, StockConfig, TransportConfig};
+use cogra_checkpoint::{Dec, Enc, SnapshotReader, SnapshotWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -590,6 +592,155 @@ fn corrupt_snapshot_errors_pin_cli_and_server() {
 
         std::fs::remove_file(&schema_path).ok();
         std::fs::remove_file(&events_path).ok();
+    });
+}
+
+/// Split a snapshot into its `(name, payload)` sections.
+fn sections(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let mut reader = SnapshotReader::new(bytes).expect("valid snapshot");
+    let mut out = Vec::new();
+    while let Some(section) = reader.next_section().expect("valid section") {
+        out.push(section);
+    }
+    out
+}
+
+/// Frame sections into a snapshot with valid checksums.
+fn frame(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut writer = SnapshotWriter::new(&mut bytes).expect("header");
+    for (name, payload) in sections {
+        writer.section(name, payload).expect("section");
+    }
+    writer.finish().expect("trailer");
+    bytes
+}
+
+/// Re-encode a gate-style `reorder` section with `damage` applied to its
+/// first buffered event.
+fn damage_first_buffered(reorder: &[u8], damage: &dyn Fn(&mut Event)) -> Vec<u8> {
+    let mut dec = Dec::new(reorder);
+    let mut enc = Enc::new();
+    assert!(dec.bool().unwrap(), "the snapshot has reorder state");
+    let style = dec.u8().unwrap();
+    assert_eq!(style, 1, "gate-style reorder state");
+    enc.bool(true);
+    enc.u8(style);
+    // slack, watermark, released_to, late
+    for _ in 0..4 {
+        enc.u64(dec.u64().unwrap());
+    }
+    let pending = dec.usize().unwrap();
+    enc.usize(pending);
+    for _ in 0..pending {
+        enc.u64(dec.u64().unwrap());
+    }
+    let buffered = dec.usize().unwrap();
+    assert!(buffered > 0, "battery bug: nothing buffered to damage");
+    enc.usize(buffered);
+    for i in 0..buffered {
+        enc.u32(dec.u32().unwrap());
+        let mut event = Event::load(&mut dec).unwrap();
+        if i == 0 {
+            damage(&mut event);
+        }
+        event.save(&mut enc);
+    }
+    dec.finish("reorder section").unwrap();
+    enc.into_bytes()
+}
+
+/// Snapshots whose checksums are valid but whose content does not fit
+/// the restoring registry — an empty query roster, a buffered event of an
+/// unknown type, a buffered event without its attributes — are typed
+/// `Corrupt` errors, never a panic, at every width.
+#[test]
+fn crc_valid_inconsistent_snapshots_are_corrupt_not_panics() {
+    watchdog("inconsistent-snapshots", || {
+        let mut registry = TypeRegistry::new();
+        let a = registry.register_type("A", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        let b = registry.register_type("B", vec![("g", ValueKind::Int), ("v", ValueKind::Int)]);
+        let query = "RETURN g, COUNT(*) PATTERN SEQ(A+, B) SEMANTICS skip-till-any-match \
+                     GROUP-BY g WITHIN 8 SLIDE 4";
+        let mut builder = EventBuilder::new();
+        let events: Vec<Event> = (0..40u64)
+            .map(|i| {
+                let ty = if i % 3 == 2 { b } else { a };
+                builder.event(i + 1, ty, vec![Value::Int((i % 3) as i64), Value::Int(1)])
+            })
+            .collect();
+        let mut session = Session::builder()
+            .query(query)
+            .slack(6)
+            .build(&registry)
+            .expect("session builds");
+        for e in &events {
+            session.process(e);
+        }
+        let mut valid = Vec::new();
+        session.checkpoint(&mut valid).expect("checkpoint");
+        let valid = sections(&valid);
+        let reorder = &valid.iter().find(|(name, _)| name == "reorder").unwrap().1;
+
+        let mut empty_config = Enc::new();
+        empty_config.usize(0); // no queries
+        empty_config.str("cogra");
+        empty_config.opt_u64(None); // flatten cap
+        empty_config.opt_u64(Some(6)); // slack
+        empty_config.u64(1); // workers
+        empty_config.u64(512); // batch size
+        let empty_roster = vec![
+            ("config".to_string(), empty_config.into_bytes()),
+            ("reorder".to_string(), reorder.clone()),
+        ];
+        let with_reorder = |payload: Vec<u8>| -> Vec<(String, Vec<u8>)> {
+            valid
+                .iter()
+                .map(|(name, bytes)| {
+                    let bytes = if name == "reorder" {
+                        payload.clone()
+                    } else {
+                        bytes.clone()
+                    };
+                    (name.clone(), bytes)
+                })
+                .collect()
+        };
+        let unknown_type = with_reorder(damage_first_buffered(reorder, &|e| {
+            e.type_id = TypeId(7);
+        }));
+        let short_event = with_reorder(damage_first_buffered(reorder, &|e| {
+            e.attrs.clear();
+        }));
+
+        let cases = [
+            ("empty roster", empty_roster, "no queries"),
+            ("unknown type", unknown_type, "type id 7"),
+            ("short event", short_event, "0 attributes"),
+        ];
+        for (tag, damaged, expect) in cases {
+            let bytes = frame(&damaged);
+            for workers in [1, 2] {
+                let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Session::builder()
+                        .workers(workers)
+                        .restore(&registry, &bytes[..])
+                }))
+                .unwrap_or_else(|_| panic!("{tag}: restore at {workers} workers panicked"));
+                match restored {
+                    Err(CheckpointError::Corrupt(message)) => assert!(
+                        message.contains(expect),
+                        "{tag}: `{message}` does not mention `{expect}`"
+                    ),
+                    Err(other) => panic!("{tag}: expected Corrupt, got {other:?}"),
+                    Ok(_) => panic!("{tag}: restored an inconsistent snapshot"),
+                }
+            }
+        }
+        // The undamaged sections still restore: the re-framing is sound.
+        Session::builder()
+            .restore(&registry, &frame(&valid)[..])
+            .expect("re-framed valid snapshot restores");
     });
 }
 
